@@ -36,13 +36,16 @@ from .bounds import (
 )
 from .games import (
     GameSpec,
+    ProtocolViolation,
     SplitMix64,
+    StepLimitExceeded,
     broadcast_complexity,
     enumerate_branches,
     make_general_game,
     make_simple_game,
     run_game,
 )
+from .qsim import ExactnessError
 from .strategies import (
     classical_label_strategy,
     general_strategy_forbidden_mass,
@@ -250,11 +253,17 @@ def _run_trial_block(
 
 
 def _worker_count() -> int:
-    raw = os.environ.get("NLGAME_WORKERS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
+    """NLGAME_WORKERS as a process count: unset is 1, and at most the CPU count."""
+    raw = os.environ.get("NLGAME_WORKERS", "").strip()
+    if not raw:
         return 1
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise UsageError(f"NLGAME_WORKERS must be an integer >= 1, got {raw!r}")
+    return min(value, os.cpu_count() or 1)
 
 
 def _play_sampled(config: ExperimentConfig) -> dict:
@@ -326,8 +335,9 @@ def _play_exhaustive(config: ExperimentConfig) -> dict:
 def cmd_play(config: ExperimentConfig) -> Report:
     if config.strategy is None:
         raise UsageError("play needs a strategy")
-    _build_spec(config.game, config.n)  # validates game and n early
     try:
+        # validates game, n and strategy before any run starts
+        _build_spec(config.game, config.n)
         strategy_from_name(config.strategy, config.n)
     except ValueError as err:
         raise UsageError(str(err)) from None
@@ -699,7 +709,14 @@ _COMMANDS = {
 }
 
 
+def _error(code: int, message: str) -> int:
+    print(f"nlgame: error: {message}", file=sys.stderr)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Exit 0 when every check passes, 1 when one fails, 2 for input outside
+    a supported domain, 3 when the engine breaks one of its own invariants."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -707,10 +724,14 @@ def main(argv: list[str] | None = None) -> int:
         report = _COMMANDS[config.command](config)
         rendered = report.render(config.output_format)
     except UsageError as err:
-        print(f"nlgame: error: {err}", file=sys.stderr)
-        return 2
+        return _error(2, str(err))
+    except (ExactnessError, ProtocolViolation, StepLimitExceeded) as err:
+        return _error(3, f"{type(err).__name__}: {err}")
     if config.output_path:
-        Path(config.output_path).write_text(rendered)
+        try:
+            Path(config.output_path).write_text(rendered)
+        except OSError as err:
+            return _error(2, f"cannot write report: {err}")
     else:
         sys.stdout.write(rendered)
     failed = report.failed_checks()

@@ -27,9 +27,12 @@ players learn nothing beyond their query.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import operator
+from collections.abc import Sequence
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Protocol, Sequence
+from math import comb
+from typing import Callable, Iterable, Iterator, Protocol
 
 __all__ = [
     "STEP_LIMIT_DEFAULT",
@@ -41,6 +44,7 @@ __all__ = [
     "Grouping",
     "GameInstance",
     "GameSpec",
+    "InstanceSequence",
     "make_simple_game",
     "make_general_game",
     "Action",
@@ -203,20 +207,78 @@ class GameInstance:
     label: str = ""
 
 
+def _unrank_combination(n: int, k: int, rank: int) -> tuple[int, ...]:
+    """The ``rank``-th k-subset of 1..n in ``itertools.combinations`` order."""
+    chosen: list[int] = []
+    x = 1
+    while len(chosen) < k:
+        # k-subsets that take x at this slot, given the slots before it
+        count = comb(n - x, k - len(chosen) - 1)
+        if rank < count:
+            chosen.append(x)
+        else:
+            rank -= count
+        x += 1
+    return tuple(chosen)
+
+
+class InstanceSequence(Sequence):
+    """A game's instances, built on access instead of all at once.
+
+    Chosen sets run through ``sizes`` ascending, each size in lexicographic
+    order, and ``build(chosen)`` makes one set's instance.  Indexing unranks
+    the index into its chosen set, so a sampled instance costs O(n) however
+    many instances there are.  ``size`` is the exact count, which ``len``
+    cannot return once it passes ``sys.maxsize``.
+    """
+
+    def __init__(
+        self,
+        n: int,
+        sizes: Iterable[int],
+        build: Callable[[tuple[int, ...]], GameInstance],
+    ) -> None:
+        self._n = n
+        self._sizes = tuple(sizes)
+        self._build = build
+        self.size = sum(comb(n, k) for k in self._sizes)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, index: int) -> GameInstance:
+        index = operator.index(index)
+        if index < 0:
+            index += self.size
+        if not 0 <= index < self.size:
+            raise IndexError("instance index out of range")
+        for k in self._sizes:
+            count = comb(self._n, k)
+            if index < count:
+                break
+            index -= count
+        return self._build(_unrank_combination(self._n, k, index))
+
+    def __iter__(self) -> Iterator[GameInstance]:
+        for k in self._sizes:
+            for chosen in itertools.combinations(range(1, self._n + 1), k):
+                yield self._build(chosen)
+
+
 @dataclass(frozen=True)
 class GameSpec:
     """A family of instances over n players with uniform sampling."""
 
     name: str
     n: int
-    instances: tuple[GameInstance, ...]
+    instances: InstanceSequence
     below_analysis_min: bool = False
 
     def enumerate(self) -> Iterator[GameInstance]:
         return iter(self.instances)
 
     def sample(self, rng: SplitMix64) -> GameInstance:
-        return self.instances[rng.below(len(self.instances))]
+        return self.instances[rng.below(self.instances.size)]
 
 
 _SIMPLE_WINNING = (("0", "1", ""), ("1", "0", ""))
@@ -259,52 +321,49 @@ def make_simple_game(n: int) -> GameSpec:
     """
     if n < 3:
         raise ValueError(f"simple game needs n >= 3, got {n}")
-    instances = []
     players = frozenset(range(1, n + 1))
-    for i, j in itertools.combinations(range(1, n + 1), 2):
-        grouping = Grouping(
-            (frozenset({i}), frozenset({j}), players - {i, j}), n
+
+    def build(chosen: tuple[int, ...]) -> GameInstance:
+        i, j = chosen
+        return GameInstance(
+            grouping=Grouping((frozenset({i}), frozenset({j}), players - {i, j}), n),
+            query=("0", "0", "1"),
+            allowed=_simple_allowed,
+            chosen=chosen,
+            aux_group=2,
+            allowed_outputs=_simple_enumeration,
+            label=f"pair({i},{j})",
         )
-        instances.append(
-            GameInstance(
-                grouping=grouping,
-                query=("0", "0", "1"),
-                allowed=_simple_allowed,
-                chosen=(i, j),
-                aux_group=2,
-                allowed_outputs=_simple_enumeration,
-                label=f"pair({i},{j})",
-            )
-        )
-    return GameSpec("simple", n, tuple(instances), below_analysis_min=n < 5)
+
+    return GameSpec(
+        "simple", n, InstanceSequence(n, (2,), build), below_analysis_min=n < 5
+    )
 
 
 def make_general_game(n: int) -> GameSpec:
     """Parity game: chosen sets C with |C| = 2 (mod 4) output odd parity."""
     if n < 2:
         raise ValueError(f"general game needs n >= 2, got {n}")
-    instances = []
     players = frozenset(range(1, n + 1))
-    sizes = [k for k in range(2, n + 1) if k % 4 == 2]
-    for k in sizes:
-        allowed = _general_allowed(k)
-        enumeration = _general_enumeration(k)
-        for chosen in itertools.combinations(range(1, n + 1), k):
-            groups = tuple(frozenset({c}) for c in chosen) + (
-                players - set(chosen),
-            )
-            instances.append(
-                GameInstance(
-                    grouping=Grouping(groups, n),
-                    query=("0",) * k + ("1",),
-                    allowed=allowed,
-                    chosen=chosen,
-                    aux_group=k,
-                    allowed_outputs=enumeration,
-                    label="C={" + ",".join(map(str, chosen)) + "}",
-                )
-            )
-    return GameSpec("general", n, tuple(instances))
+    sizes = range(2, n + 1, 4)
+    # one predicate pair per size, shared by every instance of that size
+    rules = {k: (_general_allowed(k), _general_enumeration(k)) for k in sizes}
+
+    def build(chosen: tuple[int, ...]) -> GameInstance:
+        k = len(chosen)
+        allowed, enumeration = rules[k]
+        groups = tuple(frozenset({c}) for c in chosen) + (players - set(chosen),)
+        return GameInstance(
+            grouping=Grouping(groups, n),
+            query=("0",) * k + ("1",),
+            allowed=allowed,
+            chosen=chosen,
+            aux_group=k,
+            allowed_outputs=enumeration,
+            label="C={" + ",".join(map(str, chosen)) + "}",
+        )
+
+    return GameSpec("general", n, InstanceSequence(n, sizes, build))
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,8 @@ __all__ = [
     "outcome_probability",
 ]
 
-# Registers above this size are refused to bound memory (2**n amplitudes).
+# Registers above this size are refused, so a dense view (2**n amplitudes)
+# stays bounded in memory.
 QUBIT_CAP = 20
 
 
@@ -213,10 +214,27 @@ class MeasurementRecord:
 _ZERO = ExactAmplitude(0)
 
 
-class StateVector:
-    """Dense register of exact amplitudes with squared norm exactly 1."""
+def _basis_amplitudes(
+    basis: MeasBasis, bit: int
+) -> tuple[ExactAmplitude, ExactAmplitude]:
+    (r0, i0), (r1, i1), s = _BASIS_COMPONENTS[(basis, bit)]
+    return ExactAmplitude(r0, i0, s), ExactAmplitude(r1, i1, s)
 
-    __slots__ = ("_n", "_amps", "_support")
+
+class StateVector:
+    """Register of exact amplitudes with squared norm exactly 1.
+
+    The state is held as an entangled core times measured factors.  The
+    core maps amplitude indices, with the bits of measured qubits cleared,
+    to nonzero amplitudes; the factors map each measured qubit to the
+    ``(basis, outcome)`` whose basis vector it was left in.  A projective
+    single-qubit measurement only ever moves a qubit from the core into a
+    factor, so a GHZ core keeps at most two entries however many qubits
+    are measured.  The dense view (``amplitudes``, ``support``,
+    ``dump_lines``, equality) is built on demand and cached.
+    """
+
+    __slots__ = ("_n", "_core", "_factors", "_dense")
 
     def __init__(
         self,
@@ -225,7 +243,6 @@ class StateVector:
         *,
         cap: int = QUBIT_CAP,
         validate_norm: bool = True,
-        support: Sequence[int] | None = None,
     ) -> None:
         if num_qubits < 1 or num_qubits > cap:
             raise ValueError(f"num_qubits must be in [1, {cap}], got {num_qubits}")
@@ -233,15 +250,46 @@ class StateVector:
         if len(amps) != 1 << num_qubits:
             raise ValueError("amplitude count must be 2**num_qubits")
         self._n = num_qubits
-        self._amps = amps
-        if support is None:
-            # full scan; internal callers that already know the nonzero
-            # indices pass them to keep collapse cost proportional to support
-            self._support = tuple(i for i, a in enumerate(amps) if not a.is_zero())
-        else:
-            self._support = tuple(sorted(support))
+        self._core = {i: a for i, a in enumerate(amps) if not a.is_zero()}
+        self._factors: dict[int, tuple[MeasBasis, int]] = {}
+        self._dense = (amps, tuple(self._core))
         if validate_norm and self.norm_squared() != 1:
             raise ValueError("state vector must have squared norm exactly 1")
+
+    @classmethod
+    def _factored(
+        cls,
+        num_qubits: int,
+        core: dict[int, ExactAmplitude],
+        factors: dict[int, tuple[MeasBasis, int]],
+    ) -> "StateVector":
+        state = cls.__new__(cls)
+        state._n = num_qubits
+        state._core = core
+        state._factors = factors
+        state._dense = None
+        return state
+
+    def _dense_view(self) -> tuple[tuple[ExactAmplitude, ...], tuple[int, ...]]:
+        # (amplitudes, support): every core entry times every nonzero
+        # component of every factor, placed at the factor's bit
+        if self._dense is None:
+            entries = list(self._core.items())
+            for qubit, (basis, outcome) in self._factors.items():
+                shift = self._n - qubit
+                vector = _basis_amplitudes(basis, outcome)
+                entries = [
+                    (idx | v << shift, a * c)
+                    for idx, a in entries
+                    for v, c in enumerate(vector)
+                    if not c.is_zero()
+                ]
+            entries.sort()
+            amps = [_ZERO] * (1 << self._n)
+            for idx, a in entries:
+                amps[idx] = a
+            self._dense = (tuple(amps), tuple(idx for idx, _ in entries))
+        return self._dense
 
     @property
     def num_qubits(self) -> int:
@@ -249,68 +297,65 @@ class StateVector:
 
     @property
     def amplitudes(self) -> tuple[ExactAmplitude, ...]:
-        return self._amps
+        return self._dense_view()[0]
 
     @property
     def support(self) -> tuple[int, ...]:
         """Indices of nonzero amplitudes, ascending."""
-        return self._support
+        return self._dense_view()[1]
 
     def amplitude(self, index: int) -> ExactAmplitude:
-        return self._amps[index]
+        return self.amplitudes[index]
 
     def norm_squared(self) -> Fraction:
+        # factors are unit basis vectors, so the core carries the whole norm
         total = Fraction(0)
-        for i in self._support:
-            total += self._amps[i].abs_squared()
+        for a in self._core.values():
+            total += a.abs_squared()
         return total
 
     def dump_lines(self) -> list[str]:
         """One line per nonzero amplitude: ``index_bits re_int im_int scale``."""
+        amps, support = self._dense_view()
         return [
-            f"{i:0{self._n}b} {self._amps[i].re_int} {self._amps[i].im_int} "
-            f"{self._amps[i].sqrt2_scale}"
-            for i in self._support
+            f"{i:0{self._n}b} {amps[i].re_int} {amps[i].im_int} {amps[i].sqrt2_scale}"
+            for i in support
         ]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StateVector):
             return NotImplemented
-        return self._n == other._n and self._amps == other._amps
+        return self._n == other._n and self.amplitudes == other.amplitudes
 
     def __hash__(self) -> int:
-        return hash((self._n, self._amps))
+        return hash((self._n, self.amplitudes))
 
     def __repr__(self) -> str:
-        return f"StateVector(num_qubits={self._n}, support={len(self._support)})"
+        return f"StateVector(num_qubits={self._n}, support={len(self.support)})"
 
 
 def make_ghz(n: int, *, cap: int = QUBIT_CAP) -> StateVector:
     """(|0...0> + |1...1>) / sqrt(2) on n qubits; n = 1 gives (|0> + |1>) / sqrt(2)."""
     if n < 1 or n > cap:
         raise ValueError(f"GHZ register size must be in [1, {cap}], got {n}")
-    amps = [ExactAmplitude.zero()] * (1 << n)
-    amps[0] = ExactAmplitude.inv_sqrt2()
-    amps[(1 << n) - 1] = ExactAmplitude.inv_sqrt2()
-    return StateVector(
-        n, amps, cap=cap, validate_norm=False, support=(0, (1 << n) - 1)
-    )
+    half = ExactAmplitude.inv_sqrt2()
+    return StateVector._factored(n, {0: half, (1 << n) - 1: half}, {})
 
 
 def basis_state(basis: MeasBasis, bit: int) -> StateVector:
     """Single-qubit basis vector for ``basis`` with outcome label ``bit``."""
     if bit not in (0, 1):
         raise ValueError("bit must be 0 or 1")
-    (r0, i0), (r1, i1), s = _BASIS_COMPONENTS[(basis, bit)]
-    return StateVector(
-        1,
-        [ExactAmplitude(r0, i0, s), ExactAmplitude(r1, i1, s)],
-        validate_norm=False,
-    )
+    return StateVector(1, _basis_amplitudes(basis, bit), validate_norm=False)
 
 
-def _accumulate(acc: dict, key: int, re: int, im: int, scale: int) -> None:
-    # Accumulates Gaussian-integer terms over a common sqrt2 scale per key.
+def _add_term(acc: dict, key: int, re: int, im: int, scale: int) -> None:
+    """Adds (re + im*i) / sqrt(2)**scale into ``acc[key]``, aligning scales.
+
+    Entries are mutable ``[re, im, scale]`` lists on plain ints.  Zero has
+    no scale parity; two nonzero terms whose scales differ by an odd power
+    have a sum outside the exact set and raise :class:`ExactnessError`.
+    """
     if re == 0 and im == 0:
         return
     entry = acc.get(key)
@@ -341,6 +386,32 @@ def _accumulate(acc: dict, key: int, re: int, im: int, scale: int) -> None:
         entry[2] = scale
 
 
+def _mass(acc: dict) -> Fraction:
+    """Exact squared norm of the entries accumulated by :func:`_add_term`."""
+    # one integer numerator over the largest scale, so one Fraction per call
+    num = top = 0
+    for re, im, sc in acc.values():
+        if re or im:
+            if sc > top:
+                num <<= sc - top
+                top = sc
+            num += (re * re + im * im) << (top - sc)
+    # a zero mass keeps top at 0 and skips the gcd of the general case
+    return Fraction(num, 1 << top) if top else Fraction(num)
+
+
+def _overlap(
+    basis: MeasBasis, bit: int, held_basis: MeasBasis, held_bit: int
+) -> tuple[int, int, int]:
+    """<basis, bit | held_basis, held_bit> as (re, im, sqrt2 scale)."""
+    (a0, b0), (a1, b1), s = _BASIS_COMPONENTS[(basis, bit)]
+    (c0, d0), (c1, d1), t = _BASIS_COMPONENTS[(held_basis, held_bit)]
+    # conj(a + b i) * (c + d i) = (ac + bd) + (ad - bc) i, summed over both slots
+    re = a0 * c0 + b0 * d0 + a1 * c1 + b1 * d1
+    im = a0 * d0 - b0 * c0 + a1 * d1 - b1 * c1
+    return re, im, s + t
+
+
 def _power_of_two_exponent(p: Fraction) -> int:
     # p == 2**-t for integer t >= 0, else ExactnessError.
     if p.numerator != 1:
@@ -361,104 +432,57 @@ def measure_qubit(
 
     Samples the outcome with its exact Born probability using ``draws``,
     and returns ``(outcome, collapsed_state, probability_of_outcome)``.
-    The collapsed state keeps the measured qubit, left in the basis vector
-    of the observed outcome, and is renormalized exactly (the reachable
-    states here only ever need a sqrt(2)-power renormalization; anything
-    else raises :class:`ExactnessError`).
+    The measured qubit leaves the core and becomes a factor holding the
+    basis vector of the observed outcome; measuring it again projects that
+    factor.  Only the core is projected, and it is renormalized exactly
+    (the reachable states here only ever need a sqrt(2)-power
+    renormalization; anything else raises :class:`ExactnessError`).
     """
     n = state.num_qubits
     if qubit_index < 1 or qubit_index > n:
         raise ValueError(f"qubit index must be in [1, {n}], got {qubit_index}")
-    pos = n - qubit_index
-    mask = 1 << pos
+    shift = n - qubit_index
+    clear = ~(1 << shift)
+    held = state._factors.get(qubit_index)
 
-    # support doubles with every measured qubit, so this loop dominates run
-    # cost; it stays on plain ints and mutable [re, im, scale] entries
-    amps = state.amplitudes
-    coeff0: dict[int, list] = {}
-    coeff1: dict[int, list] = {}
-    branches = (
-        (coeff0, _BASIS_COMPONENTS[(basis, 0)]),
-        (coeff1, _BASIS_COMPONENTS[(basis, 1)]),
-    )
-    for idx in state.support:
-        a = amps[idx]
-        are = a._re
-        aim = a._im
-        asc = a._scale
-        v = (idx >> pos) & 1
-        base = idx & ~mask
-        for acc, comp in branches:
-            cre, cim = comp[v]
-            if cre == 0 and cim == 0:
-                continue
-            # conj(component) * amplitude
-            tre = cre * are + cim * aim
-            tim = cre * aim - cim * are
-            tsc = asc + comp[2]
-            entry = acc.get(base)
-            if entry is None:
-                acc[base] = [tre, tim, tsc]
-                continue
-            d = entry[2] - tsc
-            if d == 0:
-                entry[0] += tre
-                entry[1] += tim
-            elif d % 2:
-                raise ExactnessError(
-                    "mixed sqrt2-scale parity: state outside the exact set"
-                )
-            elif d > 0:
-                f = 1 << (d // 2)
-                entry[0] += tre * f
-                entry[1] += tim * f
-            else:
-                f = 1 << (-d // 2)
-                entry[0] = entry[0] * f + tre
-                entry[1] = entry[1] * f + tim
-                entry[2] = tsc
+    # weights[b][v] multiplies a core entry whose bit for this qubit is v
+    # into outcome b's projection: <b|v> for a core qubit, and for a
+    # measured one (whose core bit is cleared) the overlap with its factor
+    weights = []
+    for b in (0, 1):
+        if held is None:
+            (r0, i0), (r1, i1), s = _BASIS_COMPONENTS[(basis, b)]
+            weights.append(((r0, -i0, s), (r1, -i1, s)))
+        else:
+            weights.append((_overlap(basis, b, *held),))
+    projected: tuple[dict, dict] = ({}, {})
+    for idx, a in state._core.items():
+        are, aim, asc = a._re, a._im, a._scale
+        v = (idx >> shift) & 1
+        key = idx & clear
+        for acc, w in zip(projected, weights):
+            wre, wim, wsc = w[v]
+            _add_term(acc, key, wre * are - wim * aim, wre * aim + wim * are, wsc + asc)
 
-    probs = {}
-    for b, acc in ((0, coeff0), (1, coeff1)):
-        # integer numerators grouped by scale, one Fraction per scale
-        by_scale: dict[int, int] = {}
-        for re, im, sc in acc.values():
-            if re or im:
-                by_scale[sc] = by_scale.get(sc, 0) + re * re + im * im
-        total = Fraction(0)
-        for sc, num in by_scale.items():
-            total += Fraction(num, 1 << sc)
-        probs[b] = total
+    probs = (_mass(projected[0]), _mass(projected[1]))
     if probs[0] + probs[1] != 1:
         raise ExactnessError("measurement branches do not sum to 1")
-
     outcome = draws.draw(probs[0])
     p = probs[outcome]
     t = _power_of_two_exponent(p)
 
-    (r0, i0), (r1, i1), cs = _BASIS_COMPONENTS[(basis, outcome)]
-    out_comps = ((0, r0, i0), (1, r1, i1))
-    new_amps = [_ZERO] * (1 << n)
-    written = []
-    for base, (re, im, sc) in (coeff0 if outcome == 0 else coeff1).items():
-        if re == 0 and im == 0:
-            continue
-        sc2 = sc + cs - t
-        for v, cre, cim in out_comps:
-            if cre == 0 and cim == 0:
-                continue
-            re2 = re * cre - im * cim
-            im2 = re * cim + im * cre
-            if sc2 >= 0:
-                amp = ExactAmplitude(re2, im2, sc2)
-            else:
-                # multiplying by the sqrt(2) overshoot keeps integers exact
-                amp = ExactAmplitude(re2 << -sc2, im2 << -sc2, -sc2)
-            idx = base | (v << pos)
-            new_amps[idx] = amp
-            written.append(idx)
-    collapsed = StateVector(n, new_amps, validate_norm=False, support=written)
-    return outcome, collapsed, p
+    core = {}
+    for key, (re, im, sc) in projected[outcome].items():
+        if re or im:
+            sc -= t
+            # multiplying by the sqrt(2) overshoot keeps integers exact
+            core[key] = (
+                ExactAmplitude(re, im, sc)
+                if sc >= 0
+                else ExactAmplitude(re << -sc, im << -sc, -sc)
+            )
+    factors = {**state._factors, qubit_index: (basis, outcome)}
+    return outcome, StateVector._factored(n, core, factors), p
 
 
 def outcome_probability(
@@ -470,9 +494,11 @@ def outcome_probability(
     ``assignment`` lists ``(qubit_index, basis, outcome_bit)`` with each
     qubit listed at most once.  Unlisted qubits are marginalized over, so a
     partial assignment yields the marginal probability of the listed
-    outcomes.
+    outcomes.  A listed qubit that was already measured contributes the
+    overlap of the listed basis vector with its factor.
     """
     n = state.num_qubits
+    held = state._factors
     factors = []
     listed = 0
     for qubit, basis, bit in assignment:
@@ -484,15 +510,18 @@ def outcome_probability(
         if listed & (1 << pos):
             raise ValueError(f"qubit {qubit} listed twice in assignment")
         listed |= 1 << pos
+        if held and qubit in held:
+            # the core bit of a measured qubit is 0, so only slot 0 is read
+            ore, oim, osc = _overlap(basis, bit, *held[qubit])
+            factors.append((pos, ore, oim, 0, 0, osc))
+            continue
         (r0, i0), (r1, i1), s = _BASIS_COMPONENTS[(basis, bit)]
         # store conjugated components: probability uses <v|state>
         factors.append((pos, r0, -i0, r1, -i1, s))
 
     keep = ~listed & ((1 << n) - 1)
-    amps = state.amplitudes
     acc: dict[int, list] = {}
-    for idx in state.support:
-        a = amps[idx]
+    for idx, a in state._core.items():
         fre, fim, fsc = a.re_int, a.im_int, a.sqrt2_scale
         dead = False
         for pos, r0, i0, r1, i1, s in factors:
@@ -507,10 +536,5 @@ def outcome_probability(
             fsc += s
         if dead:
             continue
-        _accumulate(acc, idx & keep, fre, fim, fsc)
-
-    total = Fraction(0)
-    for re, im, sc in acc.values():
-        if re or im:
-            total += Fraction(re * re + im * im, 1 << sc)
-    return total
+        _add_term(acc, idx & keep, fre, fim, fsc)
+    return _mass(acc)

@@ -25,6 +25,7 @@ from typing import Callable
 
 from .games import Action, GameInstance, Inbox, ProtocolViolation, Strategy
 from .qsim import (
+    QUBIT_CAP,
     MeasBasis,
     MeasurementRecord,
     StateVector,
@@ -248,15 +249,21 @@ class _QuantumParityStrategy(Strategy):
 
 def quantum_simple_strategy(n: int) -> Strategy:
     """GHZ strategy for the pair game; 1 broadcast bit, never loses."""
-    if n < 3:
-        raise ValueError(f"quantum pair strategy needs n >= 3, got {n}")
+    if not 3 <= n <= QUBIT_CAP:
+        raise ValueError(
+            f"quantum pair strategy needs 3 <= n <= {QUBIT_CAP} "
+            f"(GHZ register cap), got {n}"
+        )
     return _QuantumParityStrategy(n, "quantum-simple", fallback_hint=None)
 
 
 def quantum_general_strategy(n: int) -> Strategy:
     """GHZ strategy for the parity game; at most 1 broadcast bit, never loses."""
-    if n < 2:
-        raise ValueError(f"quantum parity strategy needs n >= 2, got {n}")
+    if not 2 <= n <= QUBIT_CAP:
+        raise ValueError(
+            f"quantum parity strategy needs 2 <= n <= {QUBIT_CAP} "
+            f"(GHZ register cap), got {n}"
+        )
     return _QuantumParityStrategy(n, "quantum-general", fallback_hint=0)
 
 

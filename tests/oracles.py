@@ -2,8 +2,10 @@
 
 Nothing in this module imports from nlgame, and every computation here uses
 a different representation than the library does: amplitudes live in
-Q(sqrt2, i) as quadruples of Fractions instead of scaled Gaussian integers,
-the subset-parity condition is re-derived with an incremental Gray-code
+Q(sqrt2, i) as quadruples of Fractions in a dense list instead of scaled
+Gaussian integers in a core times measured factors, game instances are
+built eagerly in one list instead of unranked on access, the subset-parity
+condition is re-derived with an incremental Gray-code
 walk instead of per-size combination scans, and the classical pair-game
 bound is brute-forced over raw per-player response assignments instead of
 class-size profiles.  Clarity beats speed; these only run at small sizes.
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
@@ -152,12 +155,41 @@ def measure(
     return p, [scale * z for z in projected]
 
 
-def sequence_probability(n: int, steps) -> Fraction:
-    """Joint probability of the (qubit, basis, outcome) sequence from GHZ."""
-    amps = ghz_amplitudes(n)
+def marginal_probability(amps: list[Sym], n: int, steps) -> Fraction:
+    """Joint probability of the (qubit, basis, outcome) steps on a unit state."""
     for qubit, basis, outcome in steps:
         amps = project(amps, n, qubit, basis, outcome)
     return norm_squared(amps)
+
+
+def sequence_probability(n: int, steps) -> Fraction:
+    """Joint probability of the (qubit, basis, outcome) sequence from GHZ."""
+    return marginal_probability(ghz_amplitudes(n), n, steps)
+
+
+EagerInstance = namedtuple("EagerInstance", "chosen label groups query aux_group")
+
+
+def eager_instances(game: str, n: int) -> tuple[EagerInstance, ...]:
+    """Every instance of the pair ("simple") or parity ("general") game.
+
+    Built all at once, in the order the games define: chosen-set sizes
+    ascending, each size in lexicographic order.
+    """
+    players = frozenset(range(1, n + 1))
+    out = []
+    if game == "simple":
+        for i, j in itertools.combinations(range(1, n + 1), 2):
+            groups = (frozenset({i}), frozenset({j}), players - {i, j})
+            label = f"pair({i},{j})"
+            out.append(EagerInstance((i, j), label, groups, ("0", "0", "1"), 2))
+        return tuple(out)
+    for k in [k for k in range(2, n + 1) if k % 4 == 2]:
+        for chosen in itertools.combinations(range(1, n + 1), k):
+            groups = tuple(frozenset({c}) for c in chosen) + (players - set(chosen),)
+            label = "C={" + ",".join(map(str, chosen)) + "}"
+            out.append(EagerInstance(chosen, label, groups, ("0",) * k + ("1",), k))
+    return tuple(out)
 
 
 def gray_subset_condition(vectors) -> bool:

@@ -366,3 +366,105 @@ def test_lemma_usage_errors(tmp_path, capsys):
     ragged = tmp_path / "ragged.txt"
     ragged.write_text("01\n011\n")
     assert run_cli(["lemma", "--family", str(ragged)], capsys)[0] == 2
+
+
+# ---------------------------------------------------------------------------
+# error exits and resource bounds
+
+
+def _one_error_line(err: str) -> str:
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("nlgame: error: "), err
+    return lines[0]
+
+
+def test_play_below_game_domain_exits_2(capsys):
+    code, out, err = run_cli(["play", "--n", "2"], capsys)
+    assert code == 2 and out == ""
+    assert "n >= 3" in _one_error_line(err)
+
+
+def test_play_above_register_cap_exits_2(capsys):
+    code, out, err = run_cli(["play", "--game", "general", "--n", "21"], capsys)
+    assert code == 2 and out == ""
+    assert "21" in _one_error_line(err)
+
+
+def test_unwritable_out_path_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "report.json"
+    code, out, err = run_cli(["verify", "--n", "3", "--out", str(target)], capsys)
+    assert code == 2 and out == ""
+    assert "cannot write report" in _one_error_line(err)
+    assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "error", [cli.ExactnessError, cli.ProtocolViolation, cli.StepLimitExceeded]
+)
+def test_engine_invariant_errors_exit_3(error, capsys, monkeypatch):
+    def broken_run(*args, **kwargs):
+        raise error("broken on purpose")
+
+    monkeypatch.delenv("NLGAME_WORKERS", raising=False)
+    monkeypatch.setattr(cli, "run_game", broken_run)
+    code, out, err = run_cli(["play", "--n", "5", "--trials", "2"], capsys)
+    assert code == 3 and out == ""
+    line = _one_error_line(err)
+    assert error.__name__ in line and "broken on purpose" in line
+
+
+@pytest.mark.parametrize("value", ["abc", "2.5", "0", "-3"])
+def test_invalid_worker_count_exits_2(value, capsys, monkeypatch):
+    monkeypatch.setenv("NLGAME_WORKERS", value)
+    code, out, err = run_cli(["play", "--n", "5", "--trials", "4"], capsys)
+    assert code == 2 and out == ""
+    assert "NLGAME_WORKERS" in _one_error_line(err)
+
+
+def test_large_worker_count_is_clamped_to_cpu_count(capsys, monkeypatch):
+    argv = ["play", "--n", "5", "--trials", "30", "--seed", "13", "--format", "json"]
+    monkeypatch.delenv("NLGAME_WORKERS", raising=False)
+    _, sequential, _ = run_cli(argv, capsys)
+
+    pools = []
+
+    class RecordingPool:
+        # stands in for ProcessPoolExecutor and runs blocks in this process
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    # patched before the large value is set, so no process is ever started
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    monkeypatch.setenv("NLGAME_WORKERS", "1000000")
+    code, clamped, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert pools == [3]
+    assert clamped == sequential
+
+
+def test_sampled_play_cost_does_not_grow_with_the_register(capsys, monkeypatch):
+    # a dense 2**20 register made one n = 20 trial take about a minute;
+    # the factored register and lazy instances keep a trial well under 0.1 s
+    import time
+
+    monkeypatch.delenv("NLGAME_WORKERS", raising=False)
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        ["play", "--game", "general", "--n", "20", "--trials", "200", "--format", "json"],
+        capsys,
+    )
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["wins"] == 200 and results["broadcast_bits_max"] == 1
+    assert elapsed < 20.0

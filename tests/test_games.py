@@ -2,10 +2,13 @@
 
 import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 from scipy.stats import chisquare
+
+import oracles
 
 from nlgame import (
     Action,
@@ -384,3 +387,52 @@ def test_silent_strategy_loses_without_broadcasting():
     assert broadcast_complexity(
         make_simple_game(4), _Silent(4), "exhaustive"
     ) == (0, False)
+
+
+# ---------------------------------------------------------------------------
+# lazy instances against the eager oracle
+
+
+def _fields(instance):
+    return oracles.EagerInstance(
+        instance.chosen,
+        instance.label,
+        instance.grouping.groups,
+        instance.query,
+        instance.aux_group,
+    )
+
+
+@pytest.mark.parametrize(
+    "game, make, lowest",
+    [("simple", make_simple_game, 3), ("general", make_general_game, 2)],
+)
+def test_lazy_instances_match_the_eager_builder(game, make, lowest):
+    for n in range(lowest, 12):
+        spec = make(n)
+        eager = oracles.eager_instances(game, n)
+        size = len(eager)
+        assert len(spec.instances) == spec.instances.size == size
+        for k, ref in enumerate(eager):
+            assert _fields(spec.instances[k]) == ref
+            assert _fields(spec.instances[k - size]) == ref
+        assert [_fields(i) for i in spec.instances] == list(eager)
+        assert [_fields(i) for i in spec.enumerate()] == list(eager)
+        for bad in (size, -size - 1):
+            with pytest.raises(IndexError):
+                spec.instances[bad]
+        for s in range(300):
+            # the same draws pick the same instance as indexing the eager tuple
+            ref = eager[SplitMix64(s).below(size)]
+            assert _fields(spec.sample(SplitMix64(s))) == ref
+
+
+def test_instances_are_built_on_access_only():
+    # about 2**198 chosen sets: only the ones asked for are ever built
+    spec = make_general_game(200)
+    assert spec.instances.size == sum(comb(200, k) for k in range(2, 201, 4))
+    last = spec.instances[-1]
+    assert last.chosen == tuple(range(3, 201))  # lexicographically last
+    assert last.grouping.groups[-1] == frozenset({1, 2})
+    sampled = spec.sample(SplitMix64(5))
+    assert len(sampled.chosen) % 4 == 2

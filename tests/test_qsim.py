@@ -352,3 +352,99 @@ def test_probability_agrees_with_measurement_chain():
             chained *= p
         assert chained > 0
         assert outcome_probability(make_ghz(n), observed) == chained
+
+
+# ---------------------------------------------------------------------------
+# the factored register against the dense oracle
+
+
+def random_dense_state(rng, n: int) -> StateVector:
+    """A dense input that is not a fresh GHZ register.
+
+    A GHZ pair of branches on a random subset S of the qubits (with random
+    bit flips and a random phase i**k on the second branch), times random
+    basis vectors on the qubits outside S.  Measurements in the three bases
+    keep every such state's probabilities powers of two.
+    """
+    qubits = range(1, n + 1)
+    entangled = [q for q in qubits if rng.random() < 0.6]
+    if len(entangled) < 2:
+        entangled = []
+    flips = {q: rng.randint(0, 1) for q in entangled}
+    phase = ExactAmplitude(*[(1, 0), (0, 1), (-1, 0), (0, -1)][rng.randrange(4)], 1)
+    vectors = {
+        q: basis_state(rng.choice(list(MeasBasis)), rng.randint(0, 1)).amplitudes
+        for q in qubits
+        if q not in entangled
+    }
+    amps = []
+    for idx in range(1 << n):
+        bits = {q: (idx >> (n - q)) & 1 for q in qubits}
+        if not entangled:
+            a = ExactAmplitude.one()
+        elif all(bits[q] == flips[q] for q in entangled):
+            a = ExactAmplitude.inv_sqrt2()
+        elif all(bits[q] != flips[q] for q in entangled):
+            a = phase
+        else:
+            a = ExactAmplitude.zero()
+        for q, vector in vectors.items():
+            a = a * vector[bits[q]]
+        amps.append(a)
+    return StateVector(n, amps)  # validates the norm
+
+
+def test_factored_collapse_matches_oracle_on_random_sequences():
+    import random
+
+    rng = random.Random(2002)
+    remeasured_in_new_basis = 0
+    for n in range(1, 7):
+        for trial in range(6 if n < 6 else 3):
+            state = make_ghz(n) if trial % 2 == 0 else random_dense_state(rng, n)
+            ref = state_syms(state)
+            draws = SplitMix64(1000 * n + trial)
+            held = {}
+            for _ in range(2 * n):
+                qubit = rng.randint(1, n)
+                basis = rng.choice((D, C, Z))
+                if qubit in held and held[qubit] is not basis:
+                    remeasured_in_new_basis += 1
+                held[qubit] = basis
+                outcome, state, p = measure_qubit(state, qubit, basis, draws)
+                ref_p, ref = oracles.measure(ref, n, qubit, basis.value, outcome)
+                assert p == ref_p
+                assert state_syms(state) == ref
+                assert state.norm_squared() == 1
+                assert state.support == tuple(
+                    i for i, a in enumerate(state.amplitudes) if not a.is_zero()
+                )
+    assert remeasured_in_new_basis > 20
+
+
+def test_outcome_probability_on_measured_states_matches_oracle_marginals():
+    import random
+
+    rng = random.Random(77)
+    checked_measured = 0
+    for n in range(1, 7):
+        for trial in range(4):
+            state = make_ghz(n) if trial % 2 == 0 else random_dense_state(rng, n)
+            draws = SplitMix64(n + 31 * trial)
+            measured = set()
+            for _ in range(rng.randint(1, n)):
+                qubit = rng.randint(1, n)
+                _, state, _ = measure_qubit(state, qubit, rng.choice((D, C, Z)), draws)
+                measured.add(qubit)
+            ref = state_syms(state)
+            for _ in range(6):
+                qubits = rng.sample(range(1, n + 1), rng.randint(0, n))
+                assignment = [
+                    (q, rng.choice((D, C, Z)), rng.randint(0, 1)) for q in qubits
+                ]
+                steps = [(q, b.value, bit) for q, b, bit in assignment]
+                assert outcome_probability(state, assignment) == (
+                    oracles.marginal_probability(ref, n, steps)
+                )
+                checked_measured += bool(measured & set(qubits))
+    assert checked_measured > 20
