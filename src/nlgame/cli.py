@@ -11,9 +11,9 @@ trial order so the report does not depend on scheduling.
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from csv import writer as csv_writer
 from dataclasses import dataclass, field
@@ -40,7 +40,7 @@ from .games import (
     SplitMix64,
     StepLimitExceeded,
     broadcast_complexity,
-    enumerate_branches,
+    fold_runs,
     make_general_game,
     make_simple_game,
     run_game,
@@ -50,8 +50,6 @@ from .strategies import (
     classical_label_strategy,
     general_strategy_forbidden_mass,
     losing_probability_formula,
-    quantum_general_strategy,
-    quantum_simple_strategy,
     simple_strategy_losing_mass,
     strategy_from_name,
 )
@@ -71,9 +69,8 @@ DEFAULT_SEED = 42
 DEFAULT_N = 5
 
 # instance counts explode with n; enumerate all randomness branches up to
-# these sizes and fall back to seeded per-instance runs above them
-_EXHAUSTIVE_RUNS_SIMPLE = 8
-_EXHAUSTIVE_RUNS_GENERAL = 8
+# this size and fall back to seeded per-instance runs above it
+_EXHAUSTIVE_RUNS = 8
 _SAMPLED_RUNS_PER_INSTANCE = 8
 
 
@@ -234,22 +231,19 @@ def _default_strategy(game: str) -> str:
 
 def _run_trial_block(
     game: str, n: int, strategy_name: str, seed: int, start: int, count: int
-) -> tuple[int, int, dict[int, int]]:
+) -> tuple[int, Counter]:
     # rebuilt per process: specs and strategies hold closures and do not pickle
     spec = _build_spec(game, n)
     strategy = strategy_from_name(strategy_name, n)
     wins = 0
-    max_bits = 0
-    histogram: dict[int, int] = {}
+    histogram: Counter = Counter()
     for trial in range(start, start + count):
-        rng = SplitMix64(seed + trial)
+        rng = SplitMix64.stream(seed, trial)
         instance = spec.sample(rng)
         result = run_game(instance, strategy, rng)
         wins += result.won
-        bits = result.broadcast_bits
-        histogram[bits] = histogram.get(bits, 0) + 1
-        max_bits = max(max_bits, bits)
-    return wins, max_bits, histogram
+        histogram[result.broadcast_bits] += 1
+    return wins, histogram
 
 
 def _worker_count() -> int:
@@ -281,11 +275,7 @@ def _play_sampled(config: ExperimentConfig) -> dict:
     else:
         parts = [_run_trial_block(*args, 0, trials)]
     wins = sum(p[0] for p in parts)
-    max_bits = max(p[1] for p in parts)
-    histogram: dict[int, int] = {}
-    for _, _, h in parts:
-        for bits, count in h.items():
-            histogram[bits] = histogram.get(bits, 0) + count
+    histogram = sum((p[1] for p in parts), Counter())
     rate = Fraction(wins, trials)
     return {
         "trials": trials,
@@ -293,41 +283,26 @@ def _play_sampled(config: ExperimentConfig) -> dict:
         "losses": trials - wins,
         "win_rate_decimal": decimal_string(rate),
         "loss_rate_decimal": decimal_string(1 - rate),
-        "broadcast_bits_max": max_bits,
+        "broadcast_bits_max": max(histogram),
         "broadcast_bits_histogram": [
             [bits, histogram[bits]] for bits in sorted(histogram)
         ],
     }
 
 
-def _run_trial_block_star(block) -> tuple[int, int, dict[int, int]]:
+def _run_trial_block_star(block) -> tuple[int, Counter]:
     return _run_trial_block(*block)
 
 
 def _play_exhaustive(config: ExperimentConfig) -> dict:
     spec = _build_spec(config.game, config.n)
     strategy = strategy_from_name(config.strategy, config.n)
-    total = Fraction(0)
-    worst = Fraction(1)
-    max_bits = 0
-    all_won = True
-    count = 0
-    for instance in spec.enumerate():
-        count += 1
-        win_mass = Fraction(0)
-        for result, prob in enumerate_branches(instance, strategy):
-            if result.won:
-                win_mass += prob
-            else:
-                all_won = False
-            max_bits = max(max_bits, result.broadcast_bits)
-        total += win_mass
-        worst = min(worst, win_mass)
+    masses, bits, all_won = fold_runs(spec, strategy)
     return {
-        "instances": count,
-        "win_rate": fraction_fields(total / count),
-        "min_instance_win_rate": fraction_fields(worst),
-        "broadcast_bits_max": max_bits,
+        "instances": len(masses),
+        "win_rate": fraction_fields(sum(masses, Fraction(0)) / len(masses)),
+        "min_instance_win_rate": fraction_fields(min(masses)),
+        "broadcast_bits_max": max(bits),
         "all_branches_won": all_won,
     }
 
@@ -337,8 +312,14 @@ def cmd_play(config: ExperimentConfig) -> Report:
         raise UsageError("play needs a strategy")
     try:
         # validates game, n and strategy before any run starts
-        _build_spec(config.game, config.n)
-        strategy_from_name(config.strategy, config.n)
+        spec = _build_spec(config.game, config.n)
+        strategy = strategy_from_name(config.strategy, config.n)
+        # sizes ascend, so the last instance holds the largest chosen set
+        if strategy.pair_only and len(spec.instances[-1].chosen) > 2:
+            raise ValueError(
+                f"{strategy.name} plays chosen pairs only; the {config.game} game "
+                f"at n = {config.n} also chooses larger sets"
+            )
     except ValueError as err:
         raise UsageError(str(err)) from None
     if config.mode == "exhaustive":
@@ -353,73 +334,48 @@ def cmd_play(config: ExperimentConfig) -> Report:
 # ---------------------------------------------------------------------------
 # verify
 
-def _sampled_bits_check(
-    spec: GameSpec, strategy, seed: int
-) -> tuple[int, int, bool]:
-    """(min bits, max bits, all won) over seeded runs of every instance."""
-    lo, hi, all_won = None, 0, True
-    for index, instance in enumerate(spec.enumerate()):
-        for rep in range(_SAMPLED_RUNS_PER_INSTANCE):
-            rng = SplitMix64(seed + 1_000_003 * index + rep)
-            result = run_game(instance, strategy, rng)
-            bits = result.broadcast_bits
-            lo = bits if lo is None else min(lo, bits)
-            hi = max(hi, bits)
-            all_won = all_won and result.won
-    return lo or 0, hi, all_won
+# per game: the texts for a nonzero mass, a pass and a failed run, and the
+# fewest broadcast bits a run may use (the most is 1)
+_CERTAINTY = {
+    "simple": (
+        "nonzero losing mass at pairs {}",
+        "losing mass exactly 0 on all {} pairs; broadcast bits = 1 ({})",
+        "expected 1 broadcast bit and wins, got max {} bits",
+        1,
+    ),
+    "general": (
+        "nonzero even-parity mass at C = {}",
+        "even-parity mass exactly 0 on all {} chosen sets; broadcast bits <= 1 ({})",
+        "expected <= 1 broadcast bit and wins, got max {}",
+        0,
+    ),
+}
 
 
-def _check_simple_quantum(n: int, seed: int) -> tuple[bool, str]:
-    spec = make_simple_game(n)
-    strategy = quantum_simple_strategy(n)
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
-    bad = [p for p in pairs if simple_strategy_losing_mass(n, p) != 0]
+def _check_quantum(game: str, n: int, seed: int) -> tuple[bool, str]:
+    bad_text, pass_text, runs_text, min_bits = _CERTAINTY[game]
+    # looked up per call, so a wrapper bound over either name sees the calls
+    mass = simple_strategy_losing_mass if game == "simple" else general_strategy_forbidden_mass
+    spec = _build_spec(game, n)
+    strategy = strategy_from_name(_default_strategy(game), n)
+    bad = [inst.chosen for inst in spec.instances if mass(n, inst.chosen) != 0]
     if bad:
-        return False, f"nonzero losing mass at pairs {bad[:3]}"
-    if n <= _EXHAUSTIVE_RUNS_SIMPLE:
-        seen_bits: set[int] = set()
-        all_won = True
-        for instance in spec.enumerate():
-            for result, _prob in enumerate_branches(instance, strategy):
-                seen_bits.add(result.broadcast_bits)
-                all_won = all_won and result.won
-        lo, max_bits = min(seen_bits), max(seen_bits)
-        how = "all branches"
+        return False, bad_text.format(bad[:3])
+    if n <= _EXHAUSTIVE_RUNS:
+        runs, how = None, "all branches"
     else:
-        lo, max_bits, all_won = _sampled_bits_check(spec, strategy, seed)
-        how = f"{_SAMPLED_RUNS_PER_INSTANCE} seeded runs per instance"
-    if not (all_won and lo == max_bits == 1):
-        return False, f"expected 1 broadcast bit and wins, got max {max_bits} bits"
-    return True, (
-        f"losing mass exactly 0 on all {len(pairs)} pairs; "
-        f"broadcast bits = 1 ({how})"
-    )
+        reps = _SAMPLED_RUNS_PER_INSTANCE
 
+        def runs(instance, index):
+            for rep in range(reps):
+                rng = SplitMix64.stream(seed, index, rep)
+                yield run_game(instance, strategy, rng), Fraction(1, reps)
 
-def _chosen_sets(n: int):
-    for k in range(2, n + 1, 4):
-        yield from itertools.combinations(range(1, n + 1), k)
-
-
-def _check_general_quantum(n: int, seed: int) -> tuple[bool, str]:
-    spec = make_general_game(n)
-    strategy = quantum_general_strategy(n)
-    sets = list(_chosen_sets(n))
-    bad = [c for c in sets if general_strategy_forbidden_mass(n, c) != 0]
-    if bad:
-        return False, f"nonzero even-parity mass at C = {bad[:3]}"
-    if n <= _EXHAUSTIVE_RUNS_GENERAL:
-        max_bits, all_won = broadcast_complexity(spec, strategy, "exhaustive")
-        how = "all branches"
-    else:
-        _, max_bits, all_won = _sampled_bits_check(spec, strategy, seed)
-        how = f"{_SAMPLED_RUNS_PER_INSTANCE} seeded runs per instance"
-    if not (all_won and max_bits <= 1):
-        return False, f"expected <= 1 broadcast bit and wins, got max {max_bits}"
-    return True, (
-        f"even-parity mass exactly 0 on all {len(sets)} chosen sets; "
-        f"broadcast bits <= 1 ({how})"
-    )
+        how = f"{reps} seeded runs per instance"
+    _, bits, all_won = fold_runs(spec, strategy, runs)
+    if not (all_won and min_bits <= min(bits) and max(bits) <= 1):
+        return False, runs_text.format(max(bits))
+    return True, pass_text.format(spec.instances.size, how)
 
 
 def _check_min_loss(n: int) -> tuple[bool, str, dict]:
@@ -491,8 +447,8 @@ def cmd_verify(config: ExperimentConfig) -> Report:
             {"name": name, "status": "pass" if passed else "fail", "detail": detail}
         )
 
-    record("simple-quantum-certainty", 3, 12, lambda: _check_simple_quantum(n, config.seed))
-    record("general-quantum-certainty", 2, 12, lambda: _check_general_quantum(n, config.seed))
+    record("simple-quantum-certainty", 3, 12, lambda: _check_quantum("simple", n, config.seed))
+    record("general-quantum-certainty", 2, 12, lambda: _check_quantum("general", n, config.seed))
     record("classical-min-loss-formula", 5, 12, lambda: _check_min_loss(n))
     record("simple-transcript-lower-bound", 2, 16, lambda: _check_transcripts(n))
     record("labeling-universality", 2, 10, lambda: _check_labeling(n))

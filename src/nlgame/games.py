@@ -15,13 +15,13 @@ bit plus a terminator (2L + 1 bits for an L-bit payload), keeping every
 concatenated step prefix-decodable.  Intra-group messages are free: only
 inter-group communication is measured.
 
-Two games are provided.  In the pair game, two chosen players each receive
-query "0" and must output differing bits; everyone else forms the
-remaining group with query "1" and must stay silent.  In the
-parity game, a chosen set C with |C| = 2 (mod 4) must produce single-bit
-outputs of odd total parity.  In both, the remaining group's players also
-receive the chosen players' identities as auxiliary input; the chosen
-players learn nothing beyond their query.
+Both games provided are one parity game.  A chosen set C receives query
+"0" and must produce single-bit outputs of odd total parity; everyone else
+forms the remaining group with query "1" and must stay silent.  The parity
+game chooses every C with |C| = 2 (mod 4); the pair game is its |C| = 2
+slice, where the two chosen players must output differing bits.  The
+remaining group's players also receive the chosen players' identities as
+auxiliary input; the chosen players learn nothing beyond their query.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ __all__ = [
     "RunResult",
     "run_game",
     "enumerate_branches",
+    "fold_runs",
     "broadcast_complexity",
 ]
 
@@ -90,6 +91,16 @@ class SplitMix64:
 
     def __init__(self, seed: int) -> None:
         self._state = seed & _MASK64
+
+    @classmethod
+    def stream(cls, seed: int, *indices: int) -> "SplitMix64":
+        """The generator keyed by (seed, *indices); each index is mixed in
+        through one splitmix step, so different keys give unrelated streams
+        (``seed + index`` would make (42, 1) replay (43, 0))."""
+        rng = cls(seed)
+        for index in indices:
+            rng = cls(rng.next64() ^ index)
+        return rng
 
     def next64(self) -> int:
         self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
@@ -281,18 +292,10 @@ class GameSpec:
         return self.instances[rng.below(self.instances.size)]
 
 
-_SIMPLE_WINNING = (("0", "1", ""), ("1", "0", ""))
+def _parity_rule(k: int):
+    """The winning predicate and winning tuples of a chosen set of size k:
+    single-bit outputs of odd total parity, the remaining group silent."""
 
-
-def _simple_allowed(outputs: tuple[str, ...]) -> bool:
-    return outputs in _SIMPLE_WINNING
-
-
-def _simple_enumeration() -> Iterator[tuple[str, ...]]:
-    return iter(_SIMPLE_WINNING)
-
-
-def _general_allowed(k: int) -> Callable[[tuple[str, ...]], bool]:
     def allowed(outputs: tuple[str, ...]) -> bool:
         if len(outputs) != k + 1 or outputs[k] != "":
             return False
@@ -300,54 +303,22 @@ def _general_allowed(k: int) -> Callable[[tuple[str, ...]], bool]:
             return False
         return sum(int(o) for o in outputs[:k]) % 2 == 1
 
-    return allowed
-
-
-def _general_enumeration(k: int) -> Callable[[], Iterator[tuple[str, ...]]]:
     def enumerate_winning() -> Iterator[tuple[str, ...]]:
         for bits in itertools.product("01", repeat=k):
             if sum(int(b) for b in bits) % 2 == 1:
                 yield bits + ("",)
 
-    return enumerate_winning
+    return allowed, enumerate_winning
 
 
-def make_simple_game(n: int) -> GameSpec:
-    """Pair game: every pair (i, j) must output differing bits.
-
-    Defined for n >= 3 (the remaining group must be able to signal); sizes
-    3 and 4 are flagged via ``below_analysis_min`` since the classical
-    trade-off analysis starts at n = 5.
-    """
-    if n < 3:
-        raise ValueError(f"simple game needs n >= 3, got {n}")
+def _parity_game(
+    name: str, n: int, sizes: Sequence[int], label, below_analysis_min: bool = False
+) -> GameSpec:
+    """Parity game over the chosen sets whose size is in ``sizes``;
+    ``label(chosen)`` names each instance."""
     players = frozenset(range(1, n + 1))
-
-    def build(chosen: tuple[int, ...]) -> GameInstance:
-        i, j = chosen
-        return GameInstance(
-            grouping=Grouping((frozenset({i}), frozenset({j}), players - {i, j}), n),
-            query=("0", "0", "1"),
-            allowed=_simple_allowed,
-            chosen=chosen,
-            aux_group=2,
-            allowed_outputs=_simple_enumeration,
-            label=f"pair({i},{j})",
-        )
-
-    return GameSpec(
-        "simple", n, InstanceSequence(n, (2,), build), below_analysis_min=n < 5
-    )
-
-
-def make_general_game(n: int) -> GameSpec:
-    """Parity game: chosen sets C with |C| = 2 (mod 4) output odd parity."""
-    if n < 2:
-        raise ValueError(f"general game needs n >= 2, got {n}")
-    players = frozenset(range(1, n + 1))
-    sizes = range(2, n + 1, 4)
     # one predicate pair per size, shared by every instance of that size
-    rules = {k: (_general_allowed(k), _general_enumeration(k)) for k in sizes}
+    rules = {k: _parity_rule(k) for k in sizes}
 
     def build(chosen: tuple[int, ...]) -> GameInstance:
         k = len(chosen)
@@ -360,10 +331,32 @@ def make_general_game(n: int) -> GameSpec:
             chosen=chosen,
             aux_group=k,
             allowed_outputs=enumeration,
-            label="C={" + ",".join(map(str, chosen)) + "}",
+            label=label(chosen),
         )
 
-    return GameSpec("general", n, InstanceSequence(n, sizes, build))
+    return GameSpec(name, n, InstanceSequence(n, sizes, build), below_analysis_min)
+
+
+def make_simple_game(n: int) -> GameSpec:
+    """Pair game: the |C| = 2 slice of the parity game, so every pair (i, j)
+    must output differing bits.
+
+    Defined for n >= 3 (the remaining group must be able to signal); sizes
+    3 and 4 are flagged via ``below_analysis_min`` since the classical
+    trade-off analysis starts at n = 5.
+    """
+    if n < 3:
+        raise ValueError(f"simple game needs n >= 3, got {n}")
+    return _parity_game("simple", n, (2,), lambda c: f"pair({c[0]},{c[1]})", n < 5)
+
+
+def make_general_game(n: int) -> GameSpec:
+    """Parity game: chosen sets C with |C| = 2 (mod 4) output odd parity."""
+    if n < 2:
+        raise ValueError(f"general game needs n >= 2, got {n}")
+    return _parity_game(
+        "general", n, range(2, n + 1, 4), lambda c: "C={" + ",".join(map(str, c)) + "}"
+    )
 
 
 @dataclass(frozen=True)
@@ -405,6 +398,7 @@ class Strategy:
 
     name = "strategy"
     n = 0
+    pair_only = False  # True for a strategy that only plays chosen pairs
 
     def make_players(self, instance: GameInstance, draws) -> list[Player]:
         raise NotImplementedError
@@ -684,6 +678,28 @@ def enumerate_branches(
         yield result, draws.branch_probability()
 
 
+def fold_runs(
+    spec: GameSpec, strategy: Strategy, runs=None
+) -> tuple[list[Fraction], set[int], bool]:
+    """(win mass per instance, broadcast bit counts seen, whether every run won)
+    over ``runs(instance, index)``, which yields one instance's (result, weight)
+    pairs: by default its nonzero-probability branches and their probabilities."""
+    masses: list[Fraction] = []
+    bits: set[int] = set()
+    all_won = True
+    for index, instance in enumerate(spec.instances):
+        mass = Fraction(0)
+        weighted = runs(instance, index) if runs else enumerate_branches(instance, strategy)
+        for result, weight in weighted:
+            bits.add(result.broadcast_bits)
+            if result.won:
+                mass += weight
+            else:
+                all_won = False
+        masses.append(mass)
+    return masses, bits, all_won
+
+
 def broadcast_complexity(
     spec: GameSpec,
     strategy: Strategy,
@@ -701,10 +717,8 @@ def broadcast_complexity(
     max_bits = 0
     all_won = True
     if mode == "exhaustive":
-        for instance in spec.enumerate():
-            for result, _prob in enumerate_branches(instance, strategy):
-                max_bits = max(max_bits, result.broadcast_bits)
-                all_won = all_won and result.won
+        _, bits, all_won = fold_runs(spec, strategy)
+        max_bits = max(bits)
     elif mode == "sampled":
         if not trials or trials < 1:
             raise ValueError("sampled mode needs trials >= 1")

@@ -1,6 +1,7 @@
 """Concrete strategies for the pair and parity games.
 
-The quantum strategies share a GHZ state, one qubit per player.  Remaining
+The quantum strategy, one class under the names ``quantum-simple`` and
+``quantum-general``, shares a GHZ state, one qubit per player.  Remaining
 players measure diagonally and pool their outcomes inside the group; the
 lowest-indexed one broadcasts the parity of the observed count as a single
 fixed-length hint bit.  Each chosen player then measures diagonally when
@@ -21,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, log2
-from typing import Callable
+from typing import Callable, Iterable
 
 from .games import Action, GameInstance, Inbox, ProtocolViolation, Strategy
 from .qsim import (
@@ -166,116 +167,43 @@ class QuantumSharedState:
         return outcome
 
 
-class _HintedMeasurer:
-    """Chosen player: waits for the hint, measures, outputs the outcome."""
+def _seat(n: int, instance: GameInstance, chosen_role, leader_role, other_role) -> list:
+    """One player per seat, made by the seat's role: a chosen player, the
+    leader (the lowest remaining player), or another remaining player."""
+    chosen = set(instance.chosen)
+    leader = min((i for i in range(1, n + 1) if i not in chosen), default=0)
+    return [
+        chosen_role(i) if i in chosen else leader_role(i) if i == leader else other_role(i)
+        for i in range(1, n + 1)
+    ]
 
-    __slots__ = ("_index", "_shared")
 
-    def __init__(self, index: int, shared: QuantumSharedState) -> None:
-        self._index = index
-        self._shared = shared
+class _Responder:
+    """Chosen player: waits for the first broadcast, outputs its response."""
+
+    __slots__ = ("_respond",)
+
+    def __init__(self, respond: Callable[[str], str]) -> None:
+        self._respond = respond
 
     def act(self, inbox: Inbox) -> Action:
         if not inbox.broadcasts:
             return Action()
-        hint = inbox.broadcasts[0][1]
-        basis = MeasBasis.DIAGONAL if hint == "1" else MeasBasis.CIRCULAR
-        outcome = self._shared.measure(self._index, basis)
-        return Action(output=str(outcome), halt=True)
+        return Action(output=self._respond(inbox.broadcasts[0][1]), halt=True)
 
 
-class _OutcomeReporter:
-    """Remaining player: measures diagonally, reports in-group, halts."""
+class _Announcer:
+    """Leader: broadcasts one fixed-length payload computed from the chosen set."""
 
-    __slots__ = ("_index", "_shared")
+    __slots__ = ("_payload",)
 
-    def __init__(self, index: int, shared: QuantumSharedState) -> None:
-        self._index = index
-        self._shared = shared
+    def __init__(self, payload: Callable[[tuple[int, ...]], str]) -> None:
+        self._payload = payload
 
     def act(self, inbox: Inbox) -> Action:
-        outcome = self._shared.measure(self._index, MeasBasis.DIAGONAL)
-        return Action(group_message=str(outcome), halt=True)
-
-
-class _ParityAnnouncer:
-    """Lowest-indexed remaining player: pools outcomes, broadcasts parity."""
-
-    __slots__ = ("_index", "_shared", "_own")
-
-    def __init__(self, index: int, shared: QuantumSharedState) -> None:
-        self._index = index
-        self._shared = shared
-        self._own = 0
-
-    def act(self, inbox: Inbox) -> Action:
-        if inbox.step == 1:
-            self._own = self._shared.measure(self._index, MeasBasis.DIAGONAL)
-            return Action(group_message=str(self._own))
-        ones = self._own + sum(int(payload) for _, payload in inbox.group_messages)
+        # the remaining players learn the chosen set in step 1
         return Action(
-            broadcast=str(ones % 2), broadcast_fixed_length=True, halt=True
-        )
-
-
-class _QuantumParityStrategy(Strategy):
-    def __init__(self, n: int, name: str, fallback_hint: int | None) -> None:
-        self.n = n
-        self.name = name
-        self._fallback_hint = fallback_hint
-
-    def make_players(self, instance: GameInstance, draws) -> list:
-        shared = QuantumSharedState.ghz(self.n, draws)
-        chosen = set(instance.chosen)
-        remaining = [i for i in range(1, self.n + 1) if i not in chosen]
-        leader = remaining[0] if remaining else 0
-        players = []
-        for i in range(1, self.n + 1):
-            if i in chosen:
-                players.append(_HintedMeasurer(i, shared))
-            elif i == leader:
-                players.append(_ParityAnnouncer(i, shared))
-            else:
-                players.append(_OutcomeReporter(i, shared))
-        return players
-
-    def empty_group_action(
-        self, instance: GameInstance, group_index: int
-    ) -> Action | None:
-        if self._fallback_hint is None:
-            return None
-        return Action(broadcast=str(self._fallback_hint), broadcast_fixed_length=True)
-
-
-def quantum_simple_strategy(n: int) -> Strategy:
-    """GHZ strategy for the pair game; 1 broadcast bit, never loses."""
-    if not 3 <= n <= QUBIT_CAP:
-        raise ValueError(
-            f"quantum pair strategy needs 3 <= n <= {QUBIT_CAP} "
-            f"(GHZ register cap), got {n}"
-        )
-    return _QuantumParityStrategy(n, "quantum-simple", fallback_hint=None)
-
-
-def quantum_general_strategy(n: int) -> Strategy:
-    """GHZ strategy for the parity game; at most 1 broadcast bit, never loses."""
-    if not 2 <= n <= QUBIT_CAP:
-        raise ValueError(
-            f"quantum parity strategy needs 2 <= n <= {QUBIT_CAP} "
-            f"(GHZ register cap), got {n}"
-        )
-    return _QuantumParityStrategy(n, "quantum-general", fallback_hint=0)
-
-
-class _LabelAnnouncer:
-    __slots__ = ("_label_of_target",)
-
-    def __init__(self, label_of_target: str) -> None:
-        self._label_of_target = label_of_target
-
-    def act(self, inbox: Inbox) -> Action:
-        return Action(
-            broadcast=self._label_of_target, broadcast_fixed_length=True, halt=True
+            broadcast=self._payload(inbox.aux), broadcast_fixed_length=True, halt=True
         )
 
 
@@ -284,17 +212,76 @@ class _SilentHalter:
         return Action(halt=True)
 
 
-class _LabelComparer:
-    __slots__ = ("_own_label",)
+class _OutcomeReporter:
+    """Remaining player: measures diagonally and reports in-group; the
+    leader then pools the group's outcomes and broadcasts their parity."""
 
-    def __init__(self, own_label: str) -> None:
-        self._own_label = own_label
+    __slots__ = ("_index", "_shared", "_leader", "_own")
+
+    def __init__(self, index: int, shared: QuantumSharedState, leader: bool) -> None:
+        self._index = index
+        self._shared = shared
+        self._leader = leader
+        self._own = 0
 
     def act(self, inbox: Inbox) -> Action:
-        if not inbox.broadcasts:
-            return Action()
-        announced = inbox.broadcasts[0][1]
-        return Action(output="1" if announced == self._own_label else "0", halt=True)
+        if inbox.step == 1:
+            self._own = self._shared.measure(self._index, MeasBasis.DIAGONAL)
+            return Action(group_message=str(self._own), halt=not self._leader)
+        ones = self._own + sum(int(payload) for _, payload in inbox.group_messages)
+        return Action(
+            broadcast=str(ones % 2), broadcast_fixed_length=True, halt=True
+        )
+
+
+class _QuantumParityStrategy(Strategy):
+    """The GHZ strategy; it plays the pair game and the parity game alike."""
+
+    def __init__(self, n: int, name: str) -> None:
+        self.n = n
+        self.name = name
+
+    def make_players(self, instance: GameInstance, draws) -> list:
+        shared = QuantumSharedState.ghz(self.n, draws)
+
+        def measurer(i: int) -> _Responder:
+            def respond(hint: str) -> str:
+                basis = MeasBasis.DIAGONAL if hint == "1" else MeasBasis.CIRCULAR
+                return str(shared.measure(i, basis))
+
+            return _Responder(respond)
+
+        return _seat(
+            self.n,
+            instance,
+            measurer,
+            lambda i: _OutcomeReporter(i, shared, leader=True),
+            lambda i: _OutcomeReporter(i, shared, leader=False),
+        )
+
+    def empty_group_action(
+        self, instance: GameInstance, group_index: int
+    ) -> Action | None:
+        return Action(broadcast="0", broadcast_fixed_length=True)
+
+
+def _quantum_strategy(n: int, name: str, lo: int, game: str) -> Strategy:
+    if not lo <= n <= QUBIT_CAP:
+        raise ValueError(
+            f"quantum {game} strategy needs {lo} <= n <= {QUBIT_CAP} "
+            f"(GHZ register cap), got {n}"
+        )
+    return _QuantumParityStrategy(n, name)
+
+
+def quantum_simple_strategy(n: int) -> Strategy:
+    """GHZ strategy for the pair game; 1 broadcast bit, never loses."""
+    return _quantum_strategy(n, "quantum-simple", 3, "pair")
+
+
+def quantum_general_strategy(n: int) -> Strategy:
+    """GHZ strategy for the parity game; at most 1 broadcast bit, never loses."""
+    return _quantum_strategy(n, "quantum-general", 2, "parity")
 
 
 class ClassicalLabelStrategy(Strategy):
@@ -306,19 +293,14 @@ class ClassicalLabelStrategy(Strategy):
         self.labels = labels
 
     def make_players(self, instance: GameInstance, draws) -> list:
-        chosen = set(instance.chosen)
-        remaining = [i for i in range(1, self.n + 1) if i not in chosen]
-        leader = remaining[0] if remaining else 0
-        target_label = self.labels.label_of(min(instance.chosen))
-        players = []
-        for i in range(1, self.n + 1):
-            if i in chosen:
-                players.append(_LabelComparer(self.labels.label_of(i)))
-            elif i == leader:
-                players.append(_LabelAnnouncer(target_label))
-            else:
-                players.append(_SilentHalter())
-        return players
+        label_of = self.labels.label_of
+        return _seat(
+            self.n,
+            instance,
+            lambda i: _Responder(lambda label: "1" if label == label_of(i) else "0"),
+            lambda i: _Announcer(lambda chosen: label_of(min(chosen))),
+            lambda i: _SilentHalter(),
+        )
 
     def empty_group_action(
         self, instance: GameInstance, group_index: int
@@ -335,34 +317,10 @@ def classical_label_strategy(n: int) -> Strategy:
     return ClassicalLabelStrategy(n, LabelTable.binary(n))
 
 
-class _HintAnnouncer:
-    __slots__ = ("_rule",)
-
-    def __init__(self, rule: Callable[[int, int], int]) -> None:
-        self._rule = rule
-
-    def act(self, inbox: Inbox) -> Action:
-        i, j = inbox.aux  # remaining players learn the chosen pair in step 1
-        return Action(
-            broadcast=str(self._rule(i, j)), broadcast_fixed_length=True, halt=True
-        )
-
-
-class _AtomResponder:
-    __slots__ = ("_atom",)
-
-    def __init__(self, atom: ClassicalAtomStrategy) -> None:
-        self._atom = atom
-
-    def act(self, inbox: Inbox) -> Action:
-        if not inbox.broadcasts:
-            return Action()
-        hint = int(inbox.broadcasts[0][1])
-        return Action(output=str(self._atom.respond(hint)), halt=True)
-
-
 class ClassicalAtomAssignment(Strategy):
     """Pair-game strategy from per-player atoms plus a hint rule."""
+
+    pair_only = True
 
     def __init__(self, assignment: StrategyAssignment) -> None:
         self.n = len(assignment.atoms)
@@ -370,18 +328,14 @@ class ClassicalAtomAssignment(Strategy):
         self.assignment = assignment
 
     def make_players(self, instance: GameInstance, draws) -> list:
-        chosen = set(instance.chosen)
-        remaining = [i for i in range(1, self.n + 1) if i not in chosen]
-        leader = remaining[0] if remaining else 0
-        players = []
-        for i in range(1, self.n + 1):
-            if i in chosen:
-                players.append(_AtomResponder(self.assignment.atoms[i - 1]))
-            elif i == leader:
-                players.append(_HintAnnouncer(self.assignment.hint_rule))
-            else:
-                players.append(_SilentHalter())
-        return players
+        atoms, rule = self.assignment.atoms, self.assignment.hint_rule
+        return _seat(
+            self.n,
+            instance,
+            lambda i: _Responder(lambda hint: str(atoms[i - 1].respond(int(hint)))),
+            lambda i: _Announcer(lambda pair: str(rule(*pair))),
+            lambda i: _SilentHalter(),
+        )
 
 
 def classical_atom_strategy_assignment(assignment: StrategyAssignment) -> Strategy:
@@ -429,23 +383,37 @@ def strategy_from_name(name: str, n: int) -> Strategy:
 # with no sampling, the joint probability of every measurement branch the
 # quantum strategies can take, so "never loses" is an exact statement.
 
+def _weigh(
+    n: int, chosen: tuple[int, ...], outputs: Iterable[tuple[int, ...]]
+) -> dict[tuple[int, ...], Fraction]:
+    """Exact probability that the chosen players output each tuple in ``outputs``."""
+    ghz = make_ghz(n)
+    rest = [q for q in range(1, n + 1) if q not in chosen]
+    mass = dict.fromkeys(outputs, Fraction(0))
+    for outcomes in itertools.product((0, 1), repeat=len(rest)):
+        # the leader broadcasts the parity of these outcomes as the hint
+        basis = MeasBasis.DIAGONAL if sum(outcomes) % 2 else MeasBasis.CIRCULAR
+        base = [(q, MeasBasis.DIAGONAL, m) for q, m in zip(rest, outcomes)]
+        for outs in mass:
+            mass[outs] += outcome_probability(
+                ghz, base + [(c, basis, o) for c, o in zip(chosen, outs)]
+            )
+    return mass
+
+
+def _even_parity_mass(n: int, chosen: tuple[int, ...]) -> Fraction:
+    # only the even-parity tuples are weighed: half the outcome_probability calls
+    heads = itertools.product((0, 1), repeat=len(chosen) - 1)
+    even = [head + (sum(head) % 2,) for head in heads]
+    return sum(_weigh(n, chosen, even).values(), Fraction(0))
+
+
 def simple_strategy_losing_mass(n: int, pair: tuple[int, int]) -> Fraction:
     """Exact probability that the chosen pair outputs equal bits."""
     i, j = pair
     if not (1 <= i < j <= n):
         raise ValueError(f"pair must satisfy 1 <= i < j <= n, got {pair}")
-    ghz = make_ghz(n)
-    rest = [q for q in range(1, n + 1) if q not in (i, j)]
-    total = Fraction(0)
-    for outcomes in itertools.product((0, 1), repeat=len(rest)):
-        hint = sum(outcomes) % 2
-        basis = MeasBasis.DIAGONAL if hint else MeasBasis.CIRCULAR
-        base = [(q, MeasBasis.DIAGONAL, m) for q, m in zip(rest, outcomes)]
-        for out in (0, 1):
-            total += outcome_probability(
-                ghz, base + [(i, basis, out), (j, basis, out)]
-            )
-    return total
+    return _even_parity_mass(n, (i, j))
 
 
 def general_strategy_forbidden_mass(n: int, chosen: tuple[int, ...]) -> Fraction:
@@ -453,37 +421,11 @@ def general_strategy_forbidden_mass(n: int, chosen: tuple[int, ...]) -> Fraction
     k = len(chosen)
     if k % 4 != 2:
         raise ValueError(f"chosen set size must be 2 mod 4, got {k}")
-    ghz = make_ghz(n)
-    rest = [q for q in range(1, n + 1) if q not in chosen]
-    total = Fraction(0)
-    for outcomes in itertools.product((0, 1), repeat=len(rest)):
-        hint = sum(outcomes) % 2
-        basis = MeasBasis.DIAGONAL if hint else MeasBasis.CIRCULAR
-        base = [(q, MeasBasis.DIAGONAL, m) for q, m in zip(rest, outcomes)]
-        for head in itertools.product((0, 1), repeat=k - 1):
-            outs = head + (sum(head) % 2,)  # forces even total parity
-            total += outcome_probability(
-                ghz, base + [(c, basis, o) for c, o in zip(chosen, outs)]
-            )
-    return total
+    return _even_parity_mass(n, chosen)
 
 
 def general_strategy_output_distribution(
     n: int, chosen: tuple[int, ...]
 ) -> dict[tuple[int, ...], Fraction]:
     """Exact marginal distribution of the chosen players' output tuple."""
-    k = len(chosen)
-    ghz = make_ghz(n)
-    rest = [q for q in range(1, n + 1) if q not in chosen]
-    dist: dict[tuple[int, ...], Fraction] = {
-        outs: Fraction(0) for outs in itertools.product((0, 1), repeat=k)
-    }
-    for outcomes in itertools.product((0, 1), repeat=len(rest)):
-        hint = sum(outcomes) % 2
-        basis = MeasBasis.DIAGONAL if hint else MeasBasis.CIRCULAR
-        base = [(q, MeasBasis.DIAGONAL, m) for q, m in zip(rest, outcomes)]
-        for outs in dist:
-            dist[outs] += outcome_probability(
-                ghz, base + [(c, basis, o) for c, o in zip(chosen, outs)]
-            )
-    return dist
+    return _weigh(n, chosen, itertools.product((0, 1), repeat=len(chosen)))

@@ -468,3 +468,40 @@ def test_sampled_play_cost_does_not_grow_with_the_register(capsys, monkeypatch):
     results = json.loads(out)["results"]
     assert results["wins"] == 200 and results["broadcast_bits_max"] == 1
     assert elapsed < 20.0
+
+
+@pytest.mark.parametrize(
+    "mode", [["--trials", "20"], ["--exhaustive"]], ids=["sampled", "exhaustive"]
+)
+@pytest.mark.parametrize("n", [6, 7])
+def test_pair_only_strategy_on_the_parity_game_exits_2(n, mode, capsys, monkeypatch):
+    # at n = 6 the set of all players left no one to send the hint; at n = 7
+    # the hint rule was handed a chosen set of size 6
+    monkeypatch.delenv("NLGAME_WORKERS", raising=False)
+    atoms = ",".join("01b"[i % 3] for i in range(n))
+    argv = ["play", "--game", "general", "--n", str(n), "--strategy", f"classical-atoms:{atoms}"]
+    code, out, err = run_cli(argv + mode, capsys)
+    assert code == 2 and out == ""
+    assert "chosen pairs only" in _one_error_line(err)
+
+
+def test_pair_only_strategy_still_plays_the_parity_game_below_n_6(capsys):
+    # below n = 6 every chosen set of the parity game is a pair
+    argv = ["play", "--game", "general", "--n", "5", "--strategy",
+            "classical-atoms:0,1,b,nb,0", "--exhaustive", "--format", "json"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert json.loads(out)["results"]["win_rate"]["ratio"] == "9/10"
+
+
+def test_pair_game_strategy_wins_the_parity_game(capsys, monkeypatch):
+    # quantum-simple is the same GHZ strategy; it used to send no hint when
+    # every player was chosen and ran into the step limit (exit 3)
+    monkeypatch.delenv("NLGAME_WORKERS", raising=False)
+    argv = ["play", "--game", "general", "--n", "6", "--strategy", "quantum-simple",
+            "--trials", "5", "--format", "json"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["wins"] == results["trials"] == 5
+    assert results["broadcast_bits_max"] == 1

@@ -49,6 +49,18 @@ def test_splitmix64_reference_values():
     ]
 
 
+def test_keyed_streams_do_not_overlap_across_seeds():
+    # seed + index keys made (seed 42, index 1) replay (seed 43, index 0)
+    first = [
+        SplitMix64.stream(seed, index).next64()
+        for seed in range(40, 45)
+        for index in range(4)
+    ]
+    assert len(set(first)) == len(first) == 20
+    assert SplitMix64.stream(7, 2, 3).next64() == SplitMix64.stream(7, 2, 3).next64()
+    assert SplitMix64.stream(7, 2, 3).next64() != SplitMix64.stream(7, 3, 2).next64()
+
+
 def test_below_range_and_errors():
     r = SplitMix64(1)
     for _ in range(200):

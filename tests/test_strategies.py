@@ -197,6 +197,19 @@ def test_full_set_distribution_is_uniform_on_odd_parity():
             assert mass == 0
 
 
+def test_the_three_sweeps_agree():
+    # the pair mass, the parity mass and the distribution weigh one sweep
+    for n in range(2, 7):
+        sets = [c for k in range(2, n + 1, 4) for c in itertools.combinations(range(1, n + 1), k)]
+        for chosen in sets:
+            dist = general_strategy_output_distribution(n, chosen)
+            assert sum(dist.values(), Fraction(0)) == Fraction(1)
+            even = sum((m for outs, m in dist.items() if sum(outs) % 2 == 0), Fraction(0))
+            assert general_strategy_forbidden_mass(n, chosen) == even
+            if len(chosen) == 2:
+                assert simple_strategy_losing_mass(n, chosen) == even
+
+
 def test_output_distribution_matches_symbolic_oracle():
     # re-derive the joint protocol distribution with the independent engine
     for n, chosen in [(4, (1, 3)), (5, (2, 5)), (6, (1, 2, 3, 4, 5, 6))]:
