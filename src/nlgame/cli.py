@@ -14,7 +14,6 @@ import argparse
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from csv import writer as csv_writer
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
@@ -40,6 +39,7 @@ from .games import (
     SplitMix64,
     StepLimitExceeded,
     broadcast_complexity,
+    check_strategy_fits,
     fold_runs,
     make_general_game,
     make_simple_game,
@@ -235,6 +235,7 @@ def _run_trial_block(
     # rebuilt per process: specs and strategies hold closures and do not pickle
     spec = _build_spec(game, n)
     strategy = strategy_from_name(strategy_name, n)
+    check_strategy_fits(spec, strategy)
     wins = 0
     histogram: Counter = Counter()
     for trial in range(start, start + count):
@@ -258,6 +259,12 @@ def _worker_count() -> int:
     if value < 1:
         raise UsageError(f"NLGAME_WORKERS must be an integer >= 1, got {raw!r}")
     return min(value, os.cpu_count() or 1)
+
+
+def ProcessPoolExecutor(max_workers: int):
+    # imported on first use: multiprocessing adds about 2 MB to a one-process run
+    from concurrent.futures import ProcessPoolExecutor as pool
+    return pool(max_workers=max_workers)
 
 
 def _play_sampled(config: ExperimentConfig) -> dict:
@@ -313,13 +320,7 @@ def cmd_play(config: ExperimentConfig) -> Report:
     try:
         # validates game, n and strategy before any run starts
         spec = _build_spec(config.game, config.n)
-        strategy = strategy_from_name(config.strategy, config.n)
-        # sizes ascend, so the last instance holds the largest chosen set
-        if strategy.pair_only and len(spec.instances[-1].chosen) > 2:
-            raise ValueError(
-                f"{strategy.name} plays chosen pairs only; the {config.game} game "
-                f"at n = {config.n} also chooses larger sets"
-            )
+        check_strategy_fits(spec, strategy_from_name(config.strategy, config.n))
     except ValueError as err:
         raise UsageError(str(err)) from None
     if config.mode == "exhaustive":
@@ -454,12 +455,8 @@ def cmd_verify(config: ExperimentConfig) -> Report:
     record("labeling-universality", 2, 10, lambda: _check_labeling(n))
     record("gf2-lemma-chain", 2, 10, lambda: _check_lemma_chain(n))
 
-    tally = {"pass": 0, "fail": 0, "skipped": 0}
-    for c in checks:
-        tally[c["status"]] += 1
-    results["passed"] = tally["pass"]
-    results["failed"] = tally["fail"]
-    results["skipped"] = tally["skipped"]
+    for status, key in (("pass", "passed"), ("fail", "failed"), ("skipped", "skipped")):
+        results[key] = sum(c["status"] == status for c in checks)
     return Report(config=config.echo(), results=results, checks=checks)
 
 
@@ -518,9 +515,9 @@ def cmd_lemma(config: ExperimentConfig) -> Report:
             raise UsageError(f"cannot read family file: {err}") from None
         try:
             family = GF2Family.from_lines(lines)
+            holds = check_gf2_condition(family)
         except ValueError as err:
             raise UsageError(f"bad family file: {err}") from None
-        holds = check_gf2_condition(family)
         results = {
             "n": family.n,
             "dimension": family.dimension,
@@ -532,12 +529,8 @@ def cmd_lemma(config: ExperimentConfig) -> Report:
     if not 2 <= n <= 10:
         raise UsageError(f"lemma search supports 2 <= n <= 10, got {n}")
     if config.max_l is not None:
-        found = None
-        for dimension in range(1, config.max_l + 1):
-            family = find_gf2_family(n, dimension)
-            if family is not None:
-                found = family
-                break
+        searches = (find_gf2_family(n, d) for d in range(1, config.max_l + 1))
+        found = next((family for family in searches if family is not None), None)
         results = {
             "n": n,
             "max_l": config.max_l,
@@ -617,44 +610,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    common = dict(
+        command=args.command, seed=args.seed, output_format=args.format, output_path=args.out
+    )
     if args.command == "play":
         return ExperimentConfig(
-            command="play",
+            **common,
             game=args.game,
             n=args.n,
             strategy=args.strategy or _default_strategy(args.game),
             mode="exhaustive" if args.exhaustive else "play",
             trials=None if args.exhaustive else args.trials,
-            seed=args.seed,
-            output_format=args.format,
-            output_path=args.out,
         )
     if args.command == "verify":
-        return ExperimentConfig(
-            command="verify",
-            n=args.n,
-            mode="verify",
-            seed=args.seed,
-            output_format=args.format,
-            output_path=args.out,
-        )
+        return ExperimentConfig(**common, n=args.n, mode="verify")
     if args.command == "table":
-        return ExperimentConfig(
-            command="table",
-            n_range=_parse_range(args.n),
-            seed=args.seed,
-            output_format=args.format,
-            output_path=args.out,
-        )
-    return ExperimentConfig(
-        command="lemma",
-        n=args.n,
-        seed=args.seed,
-        output_format=args.format,
-        output_path=args.out,
-        max_l=args.max_l,
-        family_path=args.family,
-    )
+        return ExperimentConfig(**common, n_range=_parse_range(args.n))
+    return ExperimentConfig(**common, n=args.n, max_l=args.max_l, family_path=args.family)
 
 
 _COMMANDS = {

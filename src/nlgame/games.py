@@ -60,6 +60,7 @@ __all__ = [
     "RunResult",
     "run_game",
     "enumerate_branches",
+    "check_strategy_fits",
     "fold_runs",
     "broadcast_complexity",
 ]
@@ -678,12 +679,23 @@ def enumerate_branches(
         yield result, draws.branch_probability()
 
 
+def check_strategy_fits(spec: GameSpec, strategy: Strategy) -> None:
+    """Raise ValueError before any run if ``strategy`` plays chosen pairs only
+    and ``spec`` also chooses larger sets (its last instance holds the largest)."""
+    if strategy.pair_only and len(spec.instances[-1].chosen) > 2:
+        raise ValueError(
+            f"{strategy.name} plays chosen pairs only; the {spec.name} game "
+            f"at n = {spec.n} also chooses larger sets"
+        )
+
+
 def fold_runs(
     spec: GameSpec, strategy: Strategy, runs=None
 ) -> tuple[list[Fraction], set[int], bool]:
     """(win mass per instance, broadcast bit counts seen, whether every run won)
     over ``runs(instance, index)``, which yields one instance's (result, weight)
     pairs: by default its nonzero-probability branches and their probabilities."""
+    check_strategy_fits(spec, strategy)
     masses: list[Fraction] = []
     bits: set[int] = set()
     all_won = True
@@ -722,6 +734,7 @@ def broadcast_complexity(
     elif mode == "sampled":
         if not trials or trials < 1:
             raise ValueError("sampled mode needs trials >= 1")
+        check_strategy_fits(spec, strategy)
         rng = SplitMix64(seed)
         for _ in range(trials):
             instance = spec.sample(rng)

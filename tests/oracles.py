@@ -5,10 +5,10 @@ a different representation than the library does: amplitudes live in
 Q(sqrt2, i) as quadruples of Fractions in a dense list instead of scaled
 Gaussian integers in a core times measured factors, game instances are
 built eagerly in one list instead of unranked on access, the subset-parity
-condition is re-derived with an incremental Gray-code
-walk instead of per-size combination scans, and the classical pair-game
-bound is brute-forced over raw per-player response assignments instead of
-class-size profiles.  Clarity beats speed; these only run at small sizes.
+condition is re-derived with an incremental Gray-code walk over all 2^n
+subsets instead of elimination and a walk over the kernel, and the
+classical pair-game bound is brute-forced over raw per-player response
+assignments instead of class-size profiles.  Clarity beats speed; these only run at small sizes.
 """
 
 from __future__ import annotations
@@ -220,6 +220,65 @@ def random_families(count: int, seed: int, max_n: int = 10, max_dim: int = 8):
         n = rng.randint(1, max_n)
         dim = rng.randint(1, max_dim)
         yield dim, tuple(rng.randrange(1 << dim) for _ in range(n))
+
+
+# extended Hamming code [8, 4, 4]: its 8 columns (1, x) for x in GF(2)^3,
+# as 4-bit rows, XOR to zero exactly on the subsets of size 0, 4 and 8
+_HAMMING_ROWS = tuple(range(8, 16))
+
+
+def rank_deficient_families(count: int, seed: int):
+    """Seeded (dimension, vectors) pairs with 12..20 vectors in 2..8 bits,
+    so every family has a kernel of dimension 4 to 18.
+
+    Even draws are uniform rows.  Odd draws are direct sums of blocks whose
+    zero-sum subsets are known: the extended Hamming rows above, and cycles
+    of L rows (L - 1 unit vectors and their sum) whose one zero-sum subset
+    is all L of them.  Each block gets its own bits; a random injective
+    linear map and a row shuffle then hide the structure.  Uniform rows
+    almost always fail the condition early, the block sums often pass, so
+    both verdicts come with whole kernels to walk.
+    """
+    rng = random.Random(seed)
+    for draw in range(count):
+        if draw % 2 == 0:
+            n = rng.randint(12, 20)
+            dim = rng.randint(2, 8)
+            yield dim, tuple(rng.randrange(1 << dim) for _ in range(n))
+            continue
+        while True:
+            rows: list[int] = []
+            bits = 0
+            while len(rows) < 12:
+                if rng.random() < 0.4:
+                    block, width = list(_HAMMING_ROWS), 4
+                else:
+                    cycle = rng.randint(1, 6)
+                    block = [1 << i for i in range(cycle - 1)]
+                    block.append(sum(block))
+                    width = cycle - 1
+                rows += [v << bits for v in block]
+                bits += width
+            if len(rows) <= 20 and bits <= 8:
+                break
+        dim = rng.randint(max(2, bits), 8)
+        images: list[int] = []  # images of the unit vectors, independent
+        while len(images) < bits:
+            image = rng.randrange(1, 1 << dim)
+            span = {0}
+            for v in images:
+                span |= {x ^ v for x in span}
+            if image not in span:
+                images.append(image)
+        mapped = []
+        for v in rows:
+            out = 0
+            for i, image in enumerate(images):
+                if v >> i & 1:
+                    out ^= image
+            mapped.append(out)
+        rng.shuffle(mapped)
+        yield dim, tuple(mapped)
 
 
 def _respond(atom: int, hint: int) -> int:

@@ -7,6 +7,8 @@ against the closed form it is supposed to certify.
 """
 
 import itertools
+import random
+import time
 from fractions import Fraction
 from functools import reduce
 from math import comb, sqrt
@@ -161,6 +163,60 @@ def test_condition_agrees_with_gray_code_oracle_on_random_families():
     for dim, vectors in oracles.random_families(300, seed=7):
         family = GF2Family(dim, vectors)
         assert check_gf2_condition(family) == oracles.gray_subset_condition(vectors)
+
+
+def test_condition_agrees_with_gray_code_oracle_on_rank_deficient_families():
+    # 12..20 vectors in at most 8 bits: kernels of dimension 4..18 are walked
+    verdicts = []
+    for dim, vectors in oracles.rank_deficient_families(200, seed=11):
+        family = GF2Family(dim, vectors)
+        assert family.n - dim >= 4
+        verdict = check_gf2_condition(family)
+        assert verdict == oracles.gray_subset_condition(vectors)
+        verdicts.append(verdict)
+    assert verdicts.count(True) >= 40 and verdicts.count(False) >= 40
+
+
+def _independent_rows(rng, count, dimension):
+    # the low `count` bits are the identity, so the rows are independent
+    return [(1 << i) | (rng.getrandbits(dimension - count) << count) for i in range(count)]
+
+
+@pytest.mark.parametrize("size", range(2, 11))
+def test_one_planted_dependency_decides_the_condition(size):
+    # 23 independent rows plus the XOR of size - 1 of them: the only subset
+    # summing to zero has `size` rows, so the verdict follows from the plan
+    rng = random.Random(size)
+    rows = _independent_rows(rng, 23, 32)
+    planted = 0
+    for v in rng.sample(rows, size - 1):
+        planted ^= v
+    rows.insert(rng.randrange(24), planted)
+    assert check_gf2_condition(GF2Family(32, tuple(rows))) == (size % 4 != 2)
+
+
+def test_condition_cost_follows_the_kernel_not_the_row_count():
+    # enumerating subsets took 3.9 s on 24 independent rows and refused 64
+    rng = random.Random(5)
+    full_rank = GF2Family(32, tuple(_independent_rows(rng, 24, 32)))
+    rows = _independent_rows(rng, 61, 64)
+    # three more rows, each the XOR of three disjoint rows: every kernel
+    # vector has weight 0, 4, 8 or 12, so the whole kernel is walked
+    for start in (0, 3, 6):
+        rows.append(rows[start] ^ rows[start + 1] ^ rows[start + 2])
+    kernel_three = GF2Family(64, tuple(rows))
+    for family in (full_rank, kernel_three):
+        start = time.perf_counter()
+        assert check_gf2_condition(family)
+        assert time.perf_counter() - start < 0.5
+
+
+def test_condition_guard_bounds_the_kernel_dimension():
+    # 25 copies of one row: kernel dimension 24 is walked, and the first
+    # kernel vector is a duplicate pair
+    assert not check_gf2_condition(GF2Family(1, (1,) * 25))
+    with pytest.raises(ValueError, match="kernel dimension"):
+        check_gf2_condition(GF2Family(1, (1,) * 26))
 
 
 def test_find_family_certificates_hold():

@@ -360,6 +360,24 @@ def test_lemma_family_file(tmp_path, capsys):
     assert json.loads(out)["results"]["condition_holds"] is False
 
 
+def test_lemma_family_above_24_rows_of_full_rank(tmp_path, capsys):
+    # the cap bounds the kernel walked, not the row count
+    family = tmp_path / "full.txt"
+    family.write_text("".join(format(1 << i, "025b") + "\n" for i in range(25)))
+    code, out, _ = run_cli(["lemma", "--family", str(family), "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["results"] == {"n": 25, "dimension": 25, "condition_holds": True}
+
+
+def test_lemma_family_past_the_kernel_cap_exits_2(tmp_path, capsys):
+    # 26 copies of one row have a kernel of dimension 25
+    family = tmp_path / "copies.txt"
+    family.write_text("1\n" * 26)
+    code, out, err = run_cli(["lemma", "--family", str(family)], capsys)
+    assert code == 2 and out == ""
+    assert "kernel dimension" in _one_error_line(err)
+
+
 def test_lemma_usage_errors(tmp_path, capsys):
     assert run_cli(["lemma", "--n", "12"], capsys)[0] == 2
     assert run_cli(["lemma", "--family", str(tmp_path / "missing.txt")], capsys)[0] == 2

@@ -25,8 +25,9 @@ from nlgame import (
     make_simple_game,
     quantum_simple_strategy,
     run_game,
+    strategy_from_name,
 )
-from nlgame.games import BroadcastRecord, decode_step, encode_broadcast
+from nlgame.games import BroadcastRecord, decode_step, encode_broadcast, fold_runs
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +400,21 @@ def test_silent_strategy_loses_without_broadcasting():
     assert broadcast_complexity(
         make_simple_game(4), _Silent(4), "exhaustive"
     ) == (0, False)
+
+
+@pytest.mark.parametrize("atoms", ["0,1,b,nb,0,1", "0,1,b,nb,0,1,b"])
+def test_pair_only_strategy_is_refused_before_any_run(atoms):
+    # n = 6 used to hit the step limit (no one left to send the hint) and
+    # n = 7 a TypeError (the hint rule was handed a chosen set of size 6)
+    n = atoms.count(",") + 1
+    spec = make_general_game(n)
+    strategy = strategy_from_name(f"classical-atoms:{atoms}", n)
+    with pytest.raises(ValueError, match="chosen pairs only"):
+        broadcast_complexity(spec, strategy)
+    with pytest.raises(ValueError, match="chosen pairs only"):
+        broadcast_complexity(spec, strategy, "sampled", trials=5)
+    with pytest.raises(ValueError, match="chosen pairs only"):
+        fold_runs(spec, strategy)
 
 
 # ---------------------------------------------------------------------------
