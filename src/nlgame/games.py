@@ -131,20 +131,20 @@ class SplitMix64:
 
     def draw(self, p_zero: Fraction) -> int:
         """0 with probability p_zero; certain outcomes consume no randomness."""
-        if p_zero >= 1:
+        num, den = p_zero.numerator, p_zero.denominator
+        if num >= den:
             return 0
-        if p_zero <= 0:
+        if num <= 0:
             return 1
-        u = Fraction(self.next64(), 1 << 64)
-        return 0 if u < p_zero else 1
+        return 0 if self.next64() * den < num << 64 else 1  # u / 2**64 < p_zero
 
 
 class TapeDraws:
-    """Replays a fixed outcome tape; raises TapeExhausted at new branches.
+    """Replays a fixed outcome tape; raises TapeExhausted past its end.
 
     Certain outcomes (p_zero 0 or 1) never consume tape, matching
     SplitMix64.draw, so a tape enumerates exactly the genuine branch
-    points of a run.
+    points of a run.  (enumerate_branches forks its tapes instead.)
     """
 
     __slots__ = ("_tape", "_pos", "log")
@@ -154,23 +154,39 @@ class TapeDraws:
         self._pos = 0
         self.log: list[tuple[Fraction, int]] = []
 
+    def _past_end(self, p_zero: Fraction) -> None:
+        raise TapeExhausted(p_zero)
+
     def draw(self, p_zero: Fraction) -> int:
-        if p_zero >= 1:
+        num, den = p_zero.numerator, p_zero.denominator
+        if num >= den:
             return 0
-        if p_zero <= 0:
+        if num <= 0:
             return 1
         if self._pos >= len(self._tape):
-            raise TapeExhausted(p_zero)
+            self._past_end(p_zero)
         bit = self._tape[self._pos]
         self._pos += 1
         self.log.append((p_zero, bit))
         return bit
 
     def branch_probability(self) -> Fraction:
-        prob = Fraction(1)
+        num = den = 1
         for p_zero, bit in self.log:
-            prob *= p_zero if bit == 0 else 1 - p_zero
-        return prob
+            num *= p_zero.numerator if bit == 0 else p_zero.denominator - p_zero.numerator
+            den *= p_zero.denominator
+        return Fraction(num, den)
+
+
+class _ForkingTape(TapeDraws):
+    """Past its end, takes outcome 1 at each genuine branch and puts the
+    tape that takes 0 there on the ``pending`` stack."""
+
+    __slots__ = ("pending",)
+
+    def _past_end(self, p_zero: Fraction) -> None:
+        self.pending.append(self._tape + (0,))
+        self._tape += (1,)
 
 
 @dataclass(frozen=True)
@@ -576,7 +592,6 @@ def run_game(
     pending_group: dict[int, list[tuple[int, str]]] = {g: [] for g in range(grouping.m)}
     pending_broadcasts: list[tuple[int, str]] = []
 
-    halted_all = False
     for t in range(1, step_limit + 1):
         step_broadcasts: list[BroadcastRecord] = []
         step_group_msgs: list[GroupMessage] = []
@@ -639,10 +654,8 @@ def run_game(
         pending_group = next_group
         pending_broadcasts = next_broadcasts
         if all(halted[1:]):
-            halted_all = True
             break
-
-    if not halted_all:
+    else:
         raise StepLimitExceeded(f"run exceeded {step_limit} steps without halting")
 
     final = tuple(outputs.get(g, "") for g in range(grouping.m))
@@ -662,20 +675,15 @@ def enumerate_branches(
 ) -> Iterator[tuple[RunResult, Fraction]]:
     """All runs with nonzero probability, via depth-first outcome tapes.
 
+    Past its tape a run takes outcome 1 at each genuine branch and stacks
+    the tape that takes 0, so every run yields a leaf, 1-branches first.
     Deterministic strategies yield exactly one branch of probability 1.
     """
     stack: list[tuple[int, ...]] = [()]
     while stack:
-        tape = stack.pop()
-        draws = TapeDraws(tape)
-        try:
-            result = run_game(instance, strategy, draws, step_limit=step_limit)
-        except TapeExhausted as branch:
-            if branch.p_zero > 0:
-                stack.append(tape + (0,))
-            if branch.p_zero < 1:
-                stack.append(tape + (1,))
-            continue
+        draws = _ForkingTape(stack.pop())
+        draws.pending = stack
+        result = run_game(instance, strategy, draws, step_limit=step_limit)
         yield result, draws.branch_probability()
 
 

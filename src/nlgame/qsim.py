@@ -15,6 +15,7 @@ this module.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Protocol, Sequence
@@ -204,6 +205,16 @@ _BASIS_COMPONENTS = {
 }
 
 
+# Per basis and outcome b, the weights <b|0> and <b|1> as (re, im, sqrt2 scale).
+_CONJUGATE_COMPONENTS = {
+    basis: tuple(
+        ((r0, -i0, s), (r1, -i1, s))
+        for (r0, i0), (r1, i1), s in (_BASIS_COMPONENTS[basis, b] for b in (0, 1))
+    )
+    for basis in MeasBasis
+}
+
+
 @dataclass(frozen=True)
 class MeasurementRecord:
     qubit_index: int
@@ -309,10 +320,7 @@ class StateVector:
 
     def norm_squared(self) -> Fraction:
         # factors are unit basis vectors, so the core carries the whole norm
-        total = Fraction(0)
-        for a in self._core.values():
-            total += a.abs_squared()
-        return total
+        return _fraction(*_mass((a._re, a._im, a._scale) for a in self._core.values()))
 
     def dump_lines(self) -> list[str]:
         """One line per nonzero amplitude: ``index_bits re_int im_int scale``."""
@@ -386,18 +394,22 @@ def _add_term(acc: dict, key: int, re: int, im: int, scale: int) -> None:
         entry[2] = scale
 
 
-def _mass(acc: dict) -> Fraction:
-    """Exact squared norm of the entries accumulated by :func:`_add_term`."""
-    # one integer numerator over the largest scale, so one Fraction per call
+def _mass(entries: Iterable) -> tuple[int, int]:
+    """Exact squared norm of (re, im, sqrt2 scale) entries as num / 2**top."""
     num = top = 0
-    for re, im, sc in acc.values():
+    for re, im, sc in entries:
         if re or im:
             if sc > top:
                 num <<= sc - top
                 top = sc
             num += (re * re + im * im) << (top - sc)
-    # a zero mass keeps top at 0 and skips the gcd of the general case
-    return Fraction(num, 1 << top) if top else Fraction(num)
+    return num, top
+
+
+@functools.lru_cache(maxsize=64)
+def _fraction(num: int, top: int) -> Fraction:
+    # few masses recur (a measured branch is 0, 1/2 or 1), so build each once
+    return Fraction(num, 1 << top)
 
 
 def _overlap(
@@ -410,16 +422,6 @@ def _overlap(
     re = a0 * c0 + b0 * d0 + a1 * c1 + b1 * d1
     im = a0 * d0 - b0 * c0 + a1 * d1 - b1 * c1
     return re, im, s + t
-
-
-def _power_of_two_exponent(p: Fraction) -> int:
-    # p == 2**-t for integer t >= 0, else ExactnessError.
-    if p.numerator != 1:
-        raise ExactnessError(f"renormalization needs a power-of-two probability, got {p}")
-    den = p.denominator
-    if den & (den - 1):
-        raise ExactnessError(f"renormalization needs a power-of-two probability, got {p}")
-    return den.bit_length() - 1
 
 
 def measure_qubit(
@@ -437,6 +439,7 @@ def measure_qubit(
     factor.  Only the core is projected, and it is renormalized exactly
     (the reachable states here only ever need a sqrt(2)-power
     renormalization; anything else raises :class:`ExactnessError`).
+    Branch masses stay integers over a power of two until the draw.
     """
     n = state.num_qubits
     if qubit_index < 1 or qubit_index > n:
@@ -448,13 +451,10 @@ def measure_qubit(
     # weights[b][v] multiplies a core entry whose bit for this qubit is v
     # into outcome b's projection: <b|v> for a core qubit, and for a
     # measured one (whose core bit is cleared) the overlap with its factor
-    weights = []
-    for b in (0, 1):
-        if held is None:
-            (r0, i0), (r1, i1), s = _BASIS_COMPONENTS[(basis, b)]
-            weights.append(((r0, -i0, s), (r1, -i1, s)))
-        else:
-            weights.append((_overlap(basis, b, *held),))
+    if held is None:
+        weights = _CONJUGATE_COMPONENTS[basis]
+    else:
+        weights = [(_overlap(basis, b, *held),) for b in (0, 1)]
     projected: tuple[dict, dict] = ({}, {})
     for idx, a in state._core.items():
         are, aim, asc = a._re, a._im, a._scale
@@ -464,12 +464,18 @@ def measure_qubit(
             wre, wim, wsc = w[v]
             _add_term(acc, key, wre * are - wim * aim, wre * aim + wim * are, wsc + asc)
 
-    probs = (_mass(projected[0]), _mass(projected[1]))
-    if probs[0] + probs[1] != 1:
+    masses = (_mass(projected[0].values()), _mass(projected[1].values()))
+    (num0, top0), (num1, top1) = masses
+    top = max(top0, top1)
+    if (num0 << (top - top0)) + (num1 << (top - top1)) != 1 << top:
         raise ExactnessError("measurement branches do not sum to 1")
-    outcome = draws.draw(probs[0])
-    p = probs[outcome]
-    t = _power_of_two_exponent(p)
+    outcome = draws.draw(_fraction(num0, top0))
+    num, top = masses[outcome]
+    p = _fraction(num, top)
+    # only the drawn branch is renormalized, so only it must be 2**-t
+    if not num or num & (num - 1):
+        raise ExactnessError(f"renormalization needs a power-of-two probability, got {p}")
+    t = top - num.bit_length() + 1
 
     core = {}
     for key, (re, im, sc) in projected[outcome].items():
@@ -515,9 +521,9 @@ def outcome_probability(
             ore, oim, osc = _overlap(basis, bit, *held[qubit])
             factors.append((pos, ore, oim, 0, 0, osc))
             continue
-        (r0, i0), (r1, i1), s = _BASIS_COMPONENTS[(basis, bit)]
-        # store conjugated components: probability uses <v|state>
-        factors.append((pos, r0, -i0, r1, -i1, s))
+        # probability uses <v|state>, so the components are conjugated
+        (r0, i0, s), (r1, i1, _) = _CONJUGATE_COMPONENTS[basis][bit]
+        factors.append((pos, r0, i0, r1, i1, s))
 
     keep = ~listed & ((1 << n) - 1)
     acc: dict[int, list] = {}
@@ -537,4 +543,4 @@ def outcome_probability(
         if dead:
             continue
         _add_term(acc, idx & keep, fre, fim, fsc)
-    return _mass(acc)
+    return _fraction(*_mass(acc.values()))

@@ -4,9 +4,11 @@ Nothing in this module imports from nlgame, and every computation here uses
 a different representation than the library does: amplitudes live in
 Q(sqrt2, i) as quadruples of Fractions in a dense list instead of scaled
 Gaussian integers in a core times measured factors, game instances are
-built eagerly in one list instead of unranked on access, the subset-parity
-condition is re-derived with an incremental Gray-code walk over all 2^n
-subsets instead of elimination and a walk over the kernel, and the
+built eagerly in one list instead of unranked on access, randomness
+branches are replayed from the root, dropping a run that meets an
+uncovered branch, instead of forked mid-run, the subset-parity condition
+is re-derived with an incremental Gray-code walk over all 2^n subsets
+instead of elimination and a walk over the kernel, and the
 classical pair-game bound is brute-forced over raw per-player response
 assignments instead of class-size profiles.  Clarity beats speed; these only run at small sizes.
 """
@@ -190,6 +192,49 @@ def eager_instances(game: str, n: int) -> tuple[EagerInstance, ...]:
             label = "C={" + ",".join(map(str, chosen)) + "}"
             out.append(EagerInstance(chosen, label, groups, ("0",) * k + ("1",), k))
     return tuple(out)
+
+
+class _TapeEnd(Exception):
+    """A replayed tape ran out at a genuine branch point."""
+
+
+class _ReplayTape:
+    """Draw source that replays fixed outcome bits at genuine branch points
+    and multiplies the probability of each bit it hands out."""
+
+    def __init__(self, tape: tuple[int, ...]) -> None:
+        self.tape = tape
+        self.used = 0
+        self.probability = Fraction(1)
+
+    def draw(self, p_zero: Fraction) -> int:
+        if p_zero == 0 or p_zero == 1:
+            return 1 if p_zero == 0 else 0
+        if self.used == len(self.tape):
+            raise _TapeEnd
+        bit = self.tape[self.used]
+        self.used += 1
+        self.probability *= p_zero if bit == 0 else 1 - p_zero
+        return bit
+
+
+def replay_branches(instance, strategy, run_game):
+    """Every (result, probability) of one instance, the slow way.
+
+    Each tape is replayed from the root by ``run_game``; a run that reaches
+    a branch its tape does not cover is dropped, and the tape extended by 0
+    and by 1 is stacked (1 on top), so leaves come out 1-branches first.
+    """
+    stack = [()]
+    while stack:
+        tape = stack.pop()
+        draws = _ReplayTape(tape)
+        try:
+            result = run_game(instance, strategy, draws)
+        except _TapeEnd:
+            stack += [tape + (0,), tape + (1,)]
+            continue
+        yield result, draws.probability
 
 
 def gray_subset_condition(vectors) -> bool:

@@ -1,6 +1,7 @@
 """Game definitions, the execution loop, and broadcast accounting."""
 
 import itertools
+import random
 from fractions import Fraction
 from math import comb
 
@@ -96,6 +97,43 @@ def test_draw_matches_probability_statistically():
     rng = SplitMix64(77)
     zeros = sum(1 - rng.draw(Fraction(1, 4)) for _ in range(40_000))
     assert abs(zeros / 40_000 - 0.25) < 0.01
+
+
+class _FixedDraw(SplitMix64):
+    """A generator whose next 64-bit word is always ``u``."""
+
+    def __init__(self, u):
+        super().__init__(0)
+        self.u = u
+
+    def next64(self):
+        return self.u
+
+
+def _fraction_draw(u, p_zero):
+    return 0 if Fraction(u, 1 << 64) < p_zero else 1
+
+
+def test_draw_integer_comparison_matches_fractions():
+    top = 1 << 64
+    boundaries = [
+        (Fraction(1, top), [0, 1, 2, top - 1]),
+        (1 - Fraction(1, top), [0, top - 3, top - 2, top - 1]),
+        (Fraction(1, 3), [0, top // 3 - 1, top // 3, top // 3 + 1, top - 1]),
+    ]
+    for u in (0, 1, top // 2, top // 3, top - 1):
+        # p_zero exactly u / 2**64 draws 1 at u and 0 just below it
+        boundaries.append((Fraction(u, top), [max(u - 1, 0), u, min(u + 1, top - 1)]))
+    rng = random.Random(5)
+    pairs = [(p, u) for p, us in boundaries for u in us]
+    for _ in range(4000):
+        den = rng.randrange(2, 1 << rng.choice((2, 8, 64, 70, 130)))
+        pairs.append((Fraction(rng.randrange(1, den), den), rng.randrange(top)))
+        u = rng.randrange(top)
+        pairs.append((Fraction(u + rng.choice((-1, 0, 1)), top), u))
+    for p_zero, u in pairs:
+        if 0 < p_zero < 1:
+            assert _FixedDraw(u).draw(p_zero) == _fraction_draw(u, p_zero), (u, p_zero)
 
 
 def test_tape_replay_and_exhaustion():
@@ -365,6 +403,70 @@ def test_enumerate_branches_deterministic_strategy():
     branches = list(enumerate_branches(instance, classical_label_strategy(4)))
     assert len(branches) == 1
     assert branches[0][1] == 1
+
+
+def _leaves(branches):
+    return [
+        (
+            result.won,
+            result.transcript.final_outputs,
+            result.transcript.to_lines(),
+            result.broadcast_bits,
+            prob,
+        )
+        for result, prob in branches
+    ]
+
+
+def _replay_cases():
+    games = (("simple", make_simple_game, 3), ("general", make_general_game, 2))
+    for game, make, lowest in games:
+        for n in range(lowest, 7):
+            names = ["quantum-general", "classical-label"]
+            if n >= 3:
+                names.append("quantum-simple")
+            if game == "simple":
+                names.append("classical-atoms:" + ",".join(("0", "1", "b", "nb", "b", "0")[:n]))
+            for name in names:
+                yield pytest.param(make, n, name, id=f"{game}-{n}-{name}")
+
+
+@pytest.mark.parametrize("make, n, name", list(_replay_cases()))
+def test_enumerate_branches_matches_the_replay_oracle(make, n, name):
+    strategy = strategy_from_name(name, n)
+    for instance in make(n).instances:
+        assert _leaves(enumerate_branches(instance, strategy)) == _leaves(
+            oracles.replay_branches(instance, strategy, run_game)
+        )
+
+
+class _CountingRuns(Strategy):
+    """Plays ``inner`` and counts the runs it is asked to seat."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.n = inner.n
+        self.name = inner.name
+        self.runs = 0
+
+    def make_players(self, instance, draws):
+        self.runs += 1
+        return self.inner.make_players(instance, draws)
+
+    def empty_group_action(self, instance, group_index):
+        return self.inner.empty_group_action(instance, group_index)
+
+
+def test_enumerate_branches_runs_each_leaf_once():
+    # replaying from the root made 31 runs for these 16 leaves
+    strategy = _CountingRuns(quantum_simple_strategy(5))
+    for instance in make_simple_game(5).instances:
+        strategy.runs = 0
+        assert len(list(enumerate_branches(instance, strategy))) == 16
+        assert strategy.runs == 16
+    deterministic = _CountingRuns(strategy_from_name("classical-label", 4))
+    assert len(list(enumerate_branches(make_general_game(4).instances[0], deterministic))) == 1
+    assert deterministic.runs == 1
 
 
 def test_broadcast_complexity_exhaustive():

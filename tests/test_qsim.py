@@ -256,6 +256,32 @@ def test_non_power_of_two_probability_raises():
         measure_qubit(state, 1, Z, TapeDraws((0,)))
 
 
+def _three_quarter_state():
+    # [1/2, (1+i)/2, 1/2, 0]: P(qubit1 = 0) = 3/4 and P(qubit1 = 1) = 1/4
+    amps = [(1, 0), (1, 1), (1, 0), (0, 0)]
+    return StateVector(2, [ExactAmplitude(re, im, 2) for re, im in amps])
+
+
+def test_only_the_drawn_branch_must_be_a_power_of_two():
+    outcome, state, p = measure_qubit(_three_quarter_state(), 1, Z, TapeDraws((1,)))
+    assert (outcome, p) == (1, Fraction(1, 4))
+    assert state.dump_lines() == ["10 1 0 0"]
+    with pytest.raises(ExactnessError, match="power-of-two probability, got 3/4"):
+        measure_qubit(_three_quarter_state(), 1, Z, TapeDraws((0,)))
+
+
+def test_branches_that_do_not_sum_to_one_raise():
+    state = StateVector(1, [ExactAmplitude(1), ExactAmplitude(1)], validate_norm=False)
+    with pytest.raises(ExactnessError, match="measurement branches do not sum to 1"):
+        measure_qubit(state, 1, Z, TapeDraws((0,)))
+    # a Z branch of mass 1/2 on its own, whichever outcome is drawn
+    half = StateVector(
+        1, [ExactAmplitude.inv_sqrt2(), ExactAmplitude.zero()], validate_norm=False
+    )
+    with pytest.raises(ExactnessError, match="measurement branches do not sum to 1"):
+        measure_qubit(half, 1, Z, TapeDraws((0,)))
+
+
 def test_collapse_matches_reference_oracle():
     """Chained measurements agree with the symbolic oracle step by step."""
     for n, seed in [(2, 1), (3, 7), (4, 11), (5, 23), (6, 5)]:
