@@ -44,6 +44,7 @@ from .games import (
     make_general_game,
     make_simple_game,
     run_game,
+    sampled_runs,
 )
 from .qsim import ExactnessError
 from .strategies import (
@@ -235,13 +236,9 @@ def _run_trial_block(
     # rebuilt per process: specs and strategies hold closures and do not pickle
     spec = _build_spec(game, n)
     strategy = strategy_from_name(strategy_name, n)
-    check_strategy_fits(spec, strategy)
     wins = 0
     histogram: Counter = Counter()
-    for trial in range(start, start + count):
-        rng = SplitMix64.stream(seed, trial)
-        instance = spec.sample(rng)
-        result = run_game(instance, strategy, rng)
+    for result in sampled_runs(spec, strategy, seed, count, start):
         wins += result.won
         histogram[result.broadcast_bits] += 1
     return wins, histogram

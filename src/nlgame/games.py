@@ -61,6 +61,7 @@ __all__ = [
     "run_game",
     "enumerate_branches",
     "check_strategy_fits",
+    "sampled_runs",
     "fold_runs",
     "broadcast_complexity",
 ]
@@ -475,10 +476,6 @@ class BroadcastRecord:
     fixed_length: bool
 
     @property
-    def encoded(self) -> str:
-        return encode_broadcast(self.payload, self.fixed_length)
-
-    @property
     def bit_cost(self) -> int:
         return len(self.payload) if self.fixed_length else 2 * len(self.payload) + 1
 
@@ -495,21 +492,6 @@ class StepRecord:
     step: int
     broadcasts: tuple[BroadcastRecord, ...]
     group_messages: tuple[GroupMessage, ...]
-
-    @property
-    def concatenated(self) -> str:
-        return "".join(r.encoded for r in self.broadcasts)
-
-    @property
-    def schedule(self) -> tuple[tuple[bool, int | None], ...]:
-        return tuple(
-            (r.fixed_length, len(r.payload) if r.fixed_length else None)
-            for r in self.broadcasts
-        )
-
-    @property
-    def payloads(self) -> tuple[str, ...]:
-        return tuple(r.payload for r in self.broadcasts)
 
 
 @dataclass(frozen=True)
@@ -539,7 +521,10 @@ class Transcript:
 class RunResult:
     won: bool
     transcript: Transcript
-    broadcast_bits: int
+
+    @property
+    def broadcast_bits(self) -> int:
+        return self.transcript.broadcast_bits
 
     def to_text(self) -> str:
         import json
@@ -569,10 +554,11 @@ def run_game(
     """Execute one run and judge it.
 
     Delivers the query (plus auxiliary input for the aux group) in step 1,
-    then alternates act/deliver rounds until every player has halted.
-    Output slots are claimed in ascending player order; a second output in
-    the same group raises :class:`ProtocolViolation`, and exceeding the
-    step limit raises :class:`StepLimitExceeded`.
+    then alternates act/deliver rounds until every player has halted; step
+    t + 1 is delivered from step t's :class:`StepRecord`, the one record of
+    its messages.  Output slots are claimed in ascending player order; a
+    second output in the same group raises :class:`ProtocolViolation`, and
+    exceeding the step limit raises :class:`StepLimitExceeded`.
     """
     grouping = instance.grouping
     n = grouping.n
@@ -584,38 +570,25 @@ def run_game(
     if len(players) != n:
         raise ValueError("strategy must supply one player per seat")
 
-    group_of = {i: grouping.group_of(i) for i in range(1, n + 1)}
+    group_of = {i: gi for gi, g in enumerate(grouping.groups) for i in g}
     halted = [False] * (n + 1)
     outputs: dict[int, str] = {}
     steps: list[StepRecord] = []
-
-    pending_group: dict[int, list[tuple[int, str]]] = {g: [] for g in range(grouping.m)}
-    pending_broadcasts: list[tuple[int, str]] = []
+    last = StepRecord(0, (), ())  # nothing is delivered before step 1
+    opening: list[BroadcastRecord] = []  # step 1's broadcasts for empty groups
+    for gi, g in enumerate(grouping.groups):
+        injected = None if g else strategy.empty_group_action(instance, gi)
+        if injected is None:
+            continue
+        if injected.broadcast is None or injected.output is not None:
+            raise ValueError("empty-group action may only broadcast")
+        _check_bits(injected.broadcast, "broadcast payload")
+        opening.append(BroadcastRecord(0, injected.broadcast, injected.broadcast_fixed_length))
 
     for t in range(1, step_limit + 1):
-        step_broadcasts: list[BroadcastRecord] = []
+        step_broadcasts = opening if t == 1 else []
         step_group_msgs: list[GroupMessage] = []
-        next_group: dict[int, list[tuple[int, str]]] = {
-            g: [] for g in range(grouping.m)
-        }
-        next_broadcasts: list[tuple[int, str]] = []
-
-        if t == 1:
-            for gi, g in enumerate(grouping.groups):
-                if g:
-                    continue
-                injected = strategy.empty_group_action(instance, gi)
-                if injected is None:
-                    continue
-                if injected.broadcast is None or injected.output is not None:
-                    raise ValueError("empty-group action may only broadcast")
-                _check_bits(injected.broadcast, "broadcast payload")
-                step_broadcasts.append(
-                    BroadcastRecord(0, injected.broadcast, injected.broadcast_fixed_length)
-                )
-                next_broadcasts.append((0, injected.broadcast))
-
-        delivered_broadcasts = tuple(pending_broadcasts)
+        delivered_broadcasts = tuple((r.sender, r.payload) for r in last.broadcasts)
         for i in range(1, n + 1):
             if halted[i]:
                 continue
@@ -625,18 +598,18 @@ def run_game(
                 query=instance.query[gi] if t == 1 else None,
                 aux=instance.chosen if (t == 1 and gi == instance.aux_group) else None,
                 group_messages=tuple(
-                    m for m in pending_group[gi] if m[0] != i
+                    (m.sender, m.payload)
+                    for m in last.group_messages
+                    if m.group == gi and m.sender != i
                 ),
                 broadcasts=delivered_broadcasts,
             )
             action = players[i - 1].act(inbox)
             if action.group_message is not None:
                 _check_bits(action.group_message, "group message")
-                next_group[gi].append((i, action.group_message))
                 step_group_msgs.append(GroupMessage(i, gi, action.group_message))
             if action.broadcast is not None:
                 _check_bits(action.broadcast, "broadcast payload")
-                next_broadcasts.append((i, action.broadcast))
                 step_broadcasts.append(
                     BroadcastRecord(i, action.broadcast, action.broadcast_fixed_length)
                 )
@@ -650,21 +623,15 @@ def run_game(
             if action.halt:
                 halted[i] = True
 
-        steps.append(StepRecord(t, tuple(step_broadcasts), tuple(step_group_msgs)))
-        pending_group = next_group
-        pending_broadcasts = next_broadcasts
+        last = StepRecord(t, tuple(step_broadcasts), tuple(step_group_msgs))
+        steps.append(last)
         if all(halted[1:]):
             break
     else:
         raise StepLimitExceeded(f"run exceeded {step_limit} steps without halting")
 
     final = tuple(outputs.get(g, "") for g in range(grouping.m))
-    transcript = Transcript(tuple(steps), final)
-    return RunResult(
-        won=bool(instance.allowed(final)),
-        transcript=transcript,
-        broadcast_bits=transcript.broadcast_bits,
-    )
+    return RunResult(bool(instance.allowed(final)), Transcript(tuple(steps), final))
 
 
 def enumerate_branches(
@@ -695,6 +662,18 @@ def check_strategy_fits(spec: GameSpec, strategy: Strategy) -> None:
             f"{strategy.name} plays chosen pairs only; the {spec.name} game "
             f"at n = {spec.n} also chooses larger sets"
         )
+
+
+def sampled_runs(
+    spec: GameSpec, strategy: Strategy, seed: int, trials: int, start: int = 0
+) -> Iterator[RunResult]:
+    """Runs of trials start, ..., start + trials - 1.  Trial t plays an instance
+    sampled from ``SplitMix64.stream(seed, t)`` on that same stream, so its
+    run does not depend on how the trials are split into blocks."""
+    check_strategy_fits(spec, strategy)
+    for trial in range(start, start + trials):
+        rng = SplitMix64.stream(seed, trial)
+        yield run_game(spec.sample(rng), strategy, rng)
 
 
 def fold_runs(
@@ -731,24 +710,18 @@ def broadcast_complexity(
     """(max broadcast bits, whether every executed run was won).
 
     Exhaustive mode folds over every instance and every nonzero-probability
-    randomness branch; sampled mode draws ``trials`` instances uniformly and
-    runs each once.
+    randomness branch; sampled mode runs ``trials`` seeded trials through
+    :func:`sampled_runs`, each on its own stream keyed by (seed, trial).
     """
-    max_bits = 0
-    all_won = True
     if mode == "exhaustive":
         _, bits, all_won = fold_runs(spec, strategy)
-        max_bits = max(bits)
-    elif mode == "sampled":
-        if not trials or trials < 1:
-            raise ValueError("sampled mode needs trials >= 1")
-        check_strategy_fits(spec, strategy)
-        rng = SplitMix64(seed)
-        for _ in range(trials):
-            instance = spec.sample(rng)
-            result = run_game(instance, strategy, rng)
-            max_bits = max(max_bits, result.broadcast_bits)
-            all_won = all_won and result.won
-    else:
+        return max(bits), all_won
+    if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
+    if not trials or trials < 1:
+        raise ValueError("sampled mode needs trials >= 1")
+    max_bits, all_won = 0, True
+    for result in sampled_runs(spec, strategy, seed, trials):
+        max_bits = max(max_bits, result.broadcast_bits)
+        all_won = all_won and result.won
     return max_bits, all_won

@@ -18,6 +18,7 @@ import enum
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Protocol, Sequence
 
 __all__ = [
@@ -305,6 +306,11 @@ class StateVector:
     @property
     def num_qubits(self) -> int:
         return self._n
+
+    @property
+    def measured(self) -> MappingProxyType:
+        """Each measured qubit's ``(basis, outcome)``, in the order first measured."""
+        return MappingProxyType(self._factors)
 
     @property
     def amplitudes(self) -> tuple[ExactAmplitude, ...]:

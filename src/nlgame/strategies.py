@@ -150,20 +150,20 @@ class QuantumSharedState:
     def __init__(self, state: StateVector, draws) -> None:
         self.state = state
         self._draws = draws
-        self.records: list[MeasurementRecord] = []
-        self._measured: set[int] = set()
 
     @classmethod
     def ghz(cls, n: int, draws) -> "QuantumSharedState":
         return cls(make_ghz(n), draws)
 
+    @property
+    def records(self) -> list[MeasurementRecord]:
+        """Each measured qubit's record, in measurement order, read from the register."""
+        return [MeasurementRecord(q, *held) for q, held in self.state.measured.items()]
+
     def measure(self, qubit: int, basis: MeasBasis) -> int:
-        if qubit in self._measured:
+        if qubit in self.state.measured:
             raise ProtocolViolation(f"qubit {qubit} measured twice in one run")
-        outcome, collapsed, _p = measure_qubit(self.state, qubit, basis, self._draws)
-        self._measured.add(qubit)
-        self.records.append(MeasurementRecord(qubit, basis, outcome))
-        self.state = collapsed
+        outcome, self.state, _p = measure_qubit(self.state, qubit, basis, self._draws)
         return outcome
 
 

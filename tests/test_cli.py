@@ -424,7 +424,7 @@ def test_engine_invariant_errors_exit_3(error, capsys, monkeypatch):
         raise error("broken on purpose")
 
     monkeypatch.delenv("NLGAME_WORKERS", raising=False)
-    monkeypatch.setattr(cli, "run_game", broken_run)
+    monkeypatch.setattr("nlgame.games.run_game", broken_run)
     code, out, err = run_cli(["play", "--n", "5", "--trials", "2"], capsys)
     assert code == 3 and out == ""
     line = _one_error_line(err)

@@ -13,6 +13,7 @@ import oracles
 
 from nlgame import (
     Action,
+    GameInstance,
     Grouping,
     ProtocolViolation,
     SplitMix64,
@@ -28,7 +29,13 @@ from nlgame import (
     run_game,
     strategy_from_name,
 )
-from nlgame.games import BroadcastRecord, decode_step, encode_broadcast, fold_runs
+from nlgame.games import (
+    BroadcastRecord,
+    decode_step,
+    encode_broadcast,
+    fold_runs,
+    sampled_runs,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +371,103 @@ def test_chosen_players_never_learn_the_instance():
                 assert inboxes[0].aux == instance.chosen
 
 
+class _RoutingProbe(Strategy):
+    """Every player sends a group message in step 1 and players 2, 3 and 5
+    broadcast; player 6 halts after sending.  The others record their step-2
+    inbox and halt.  The empty group injects one variable-length broadcast."""
+
+    n = 6
+
+    def __init__(self):
+        self.step2 = {}
+
+    def make_players(self, instance, draws):
+        probe = self
+
+        class P:
+            def __init__(self, i):
+                self.i = i
+
+            def act(self, inbox):
+                if inbox.step == 1:
+                    return Action(
+                        group_message=format(self.i, "03b"),
+                        broadcast=format(self.i, "03b") if self.i in (2, 3, 5) else None,
+                        halt=self.i == 6,
+                    )
+                probe.step2[self.i] = inbox
+                return Action(halt=True)
+
+        return [P(i) for i in range(1, 7)]
+
+    def empty_group_action(self, instance, group_index):
+        return Action(broadcast="01", broadcast_fixed_length=False)
+
+
+def _routing_instance():
+    groups = (frozenset({1, 2}), frozenset({3}), frozenset(), frozenset({4, 5, 6}))
+    return GameInstance(
+        grouping=Grouping(groups, 6),
+        query=("0", "0", "0", "1"),
+        allowed=lambda outputs: True,
+        chosen=(3,),
+        aux_group=3,
+    )
+
+
+def test_messages_are_routed_from_the_step_records():
+    probe = _RoutingProbe()
+    result = run_game(_routing_instance(), probe, TapeDraws(()))
+    broadcasts = ((0, "01"), (2, "010"), (3, "011"), (5, "101"))
+    group_messages = {
+        1: ((2, "010"),),
+        2: ((1, "001"),),
+        3: (),  # the singleton has no one to hear from
+        4: ((5, "101"), (6, "110")),
+        5: ((4, "100"), (6, "110")),
+    }
+    assert sorted(probe.step2) == [1, 2, 3, 4, 5]  # player 6 halted in step 1
+    for i, inbox in probe.step2.items():
+        assert inbox.step == 2 and inbox.query is None and inbox.aux is None
+        assert inbox.group_messages == group_messages[i]
+        assert inbox.broadcasts == broadcasts
+    steps = result.transcript.steps
+    assert [s.step for s in steps] == [1, 2]  # no step-0 record
+    assert [(r.sender, r.payload) for r in steps[0].broadcasts] == list(broadcasts)
+    assert [(m.sender, m.group) for m in steps[0].group_messages] == [
+        (1, 0), (2, 0), (3, 1), (4, 3), (5, 3), (6, 3)
+    ]
+    assert steps[1].broadcasts == steps[1].group_messages == ()
+    assert result.broadcast_bits == 5 + 3 * 3
+
+
+def _transcripts():
+    for instance in make_simple_game(5).instances:
+        for result, _ in enumerate_branches(instance, quantum_simple_strategy(5)):
+            yield result.transcript
+    label = strategy_from_name("classical-label", 6)
+    for instance in make_general_game(6).instances:
+        for result, _ in enumerate_branches(instance, label):
+            yield result.transcript
+    yield run_game(_routing_instance(), _RoutingProbe(), TapeDraws(())).transcript
+
+
+def test_every_recorded_step_is_prefix_decodable():
+    variable = 0
+    for transcript in _transcripts():
+        for step in transcript.steps:
+            encoded = [encode_broadcast(r.payload, r.fixed_length) for r in step.broadcasts]
+            schedule = [
+                (r.fixed_length, len(r.payload) if r.fixed_length else None)
+                for r in step.broadcasts
+            ]
+            payloads = [r.payload for r in step.broadcasts]
+            assert decode_step("".join(encoded), schedule) == payloads
+            assert [len(e) for e in encoded] == [r.bit_cost for r in step.broadcasts]
+            variable += sum(not r.fixed_length for r in step.broadcasts)
+    assert variable == 1
+
+
 def test_wrong_arity_strategy_rejected():
     instance = make_simple_game(4).instances[0]
     with pytest.raises(ValueError):
@@ -517,6 +621,23 @@ def test_pair_only_strategy_is_refused_before_any_run(atoms):
         broadcast_complexity(spec, strategy, "sampled", trials=5)
     with pytest.raises(ValueError, match="chosen pairs only"):
         fold_runs(spec, strategy)
+    with pytest.raises(ValueError, match="chosen pairs only"):
+        list(sampled_runs(spec, strategy, 0, 5))
+
+
+def test_sampled_runs_do_not_depend_on_the_block_split():
+    spec = make_general_game(6)
+    strategy = strategy_from_name("quantum-general", 6)
+    whole = list(sampled_runs(spec, strategy, 23, 30))
+    split = list(sampled_runs(spec, strategy, 23, 11)) + list(
+        sampled_runs(spec, strategy, 23, 19, start=11)
+    )
+    explicit = []
+    for t in range(30):
+        stream = SplitMix64.stream(23, t)
+        explicit.append(run_game(spec.sample(stream), strategy, stream))
+    assert whole == split == explicit
+    assert len({r.transcript.final_outputs for r in whole}) > 1
 
 
 # ---------------------------------------------------------------------------

@@ -269,6 +269,37 @@ def test_shared_state_forbids_double_measurement():
     assert [r.qubit_index for r in shared.records] == [2]
 
 
+def test_shared_state_records_every_qubit_once_in_measurement_order(monkeypatch):
+    from nlgame import strategies
+
+    made, order = [], []
+    ghz = QuantumSharedState.ghz.__func__
+    measure = strategies.measure_qubit
+
+    def recording_ghz(cls, n, draws):
+        made.append(ghz(cls, n, draws))
+        return made[-1]
+
+    def logged_measure(state, qubit, basis, draws):
+        order.append((qubit, basis))
+        return measure(state, qubit, basis, draws)
+
+    monkeypatch.setattr(QuantumSharedState, "ghz", classmethod(recording_ghz))
+    monkeypatch.setattr(strategies, "measure_qubit", logged_measure)
+    for seed, instance in enumerate(make_simple_game(5).instances):
+        made.clear()
+        order.clear()
+        result = run_game(instance, quantum_simple_strategy(5), SplitMix64(seed))
+        (shared,) = made
+        rest = [q for q in range(1, 6) if q not in instance.chosen]
+        records = shared.records
+        # the remaining players measure in step 1, the chosen pair in step 3
+        assert [r.qubit_index for r in records] == rest + list(instance.chosen)
+        assert [(r.qubit_index, r.basis) for r in records] == order
+        outputs = result.transcript.final_outputs[:2]
+        assert tuple(str(r.outcome) for r in records[3:]) == outputs
+
+
 # ---------------------------------------------------------------------------
 # name resolution
 
