@@ -299,7 +299,7 @@ def appendix_bound(n: int) -> float:
 
 def _labeling_witness_family(n: int) -> GF2Family:
     # response family of the labeling strategy: transcript space is all
-    # ceil(log2 n)-bit labels, player i outputs 1 only on his own label
+    # ceil(log2 n)-bit labels, player i outputs 1 only on its own label
     width = max(1, ceil(log2(n)))
     return GF2Family(dimension=1 << width, vectors=tuple(1 << i for i in range(n)))
 

@@ -422,35 +422,39 @@ def _check_lemma_chain(n: int) -> tuple[bool, str, dict]:
     ), data
 
 
+# (name, lo, hi, runner(n, seed)): each check runs for lo <= n <= hi
+_VERIFY_CHECKS = (
+    ("simple-quantum-certainty", 3, 12, lambda n, seed: _check_quantum("simple", n, seed)),
+    ("general-quantum-certainty", 2, 12, lambda n, seed: _check_quantum("general", n, seed)),
+    ("classical-min-loss-formula", 5, 12, lambda n, seed: _check_min_loss(n)),
+    ("simple-transcript-lower-bound", 2, 16, lambda n, seed: _check_transcripts(n)),
+    ("labeling-universality", 2, 10, lambda n, seed: _check_labeling(n)),
+    ("gf2-lemma-chain", 2, 10, lambda n, seed: _check_lemma_chain(n)),
+)
+
+
 def cmd_verify(config: ExperimentConfig) -> Report:
     n = config.n
+    if not any(lo <= n <= hi for _, lo, hi, _ in _VERIFY_CHECKS):
+        # the check domains overlap, so together they cover one interval
+        lo = min(c[1] for c in _VERIFY_CHECKS)
+        hi = max(c[2] for c in _VERIFY_CHECKS)
+        raise UsageError(f"verify defines no check at n = {n}; use {lo} <= n <= {hi}")
     checks: list[dict] = []
     results: dict = {"n": n}
-
-    def record(name: str, lo: int, hi: int, runner) -> None:
+    for name, lo, hi, runner in _VERIFY_CHECKS:
         if not lo <= n <= hi:
             checks.append(
-                {
-                    "name": name,
-                    "status": "skipped",
-                    "detail": f"defined for {lo} <= n <= {hi}",
-                }
+                {"name": name, "status": "skipped", "detail": f"defined for {lo} <= n <= {hi}"}
             )
-            return
-        outcome = runner()
+            continue
+        outcome = runner(n, config.seed)
         passed, detail = outcome[0], outcome[1]
         if len(outcome) > 2:
             results.update(outcome[2])
         checks.append(
             {"name": name, "status": "pass" if passed else "fail", "detail": detail}
         )
-
-    record("simple-quantum-certainty", 3, 12, lambda: _check_quantum("simple", n, config.seed))
-    record("general-quantum-certainty", 2, 12, lambda: _check_quantum("general", n, config.seed))
-    record("classical-min-loss-formula", 5, 12, lambda: _check_min_loss(n))
-    record("simple-transcript-lower-bound", 2, 16, lambda: _check_transcripts(n))
-    record("labeling-universality", 2, 10, lambda: _check_labeling(n))
-    record("gf2-lemma-chain", 2, 10, lambda: _check_lemma_chain(n))
 
     for status, key in (("pass", "passed"), ("fail", "failed"), ("skipped", "skipped")):
         results[key] = sum(c["status"] == status for c in checks)

@@ -3,10 +3,10 @@
 An instance fixes an ordered partition of the players into groups, a
 per-group query bitstring, and a predicate over the groups' final output
 strings.  Play proceeds in synchronous steps: everything a player emits in
-step t is delivered in step t+1, either to the other members of his group
-or broadcast to all n players.  The game is won when the tuple of final
-outputs (the empty string for a group that never outputs) satisfies the
-predicate.
+step t is delivered in step t+1, either to the other members of the
+sender's group or broadcast to all n players.  The game is won when the
+tuple of final outputs (the empty string for a group that never outputs)
+satisfies the predicate.
 
 Broadcast accounting is exact.  A broadcast whose length is fixed by the
 strategy's declared schedule costs exactly its payload length; a
@@ -26,13 +26,14 @@ auxiliary input; the chosen players learn nothing beyond their query.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable, Iterable, Iterator, Protocol
+from typing import Callable, Iterable, Iterator, NamedTuple, Protocol
 
 __all__ = [
     "STEP_LIMIT_DEFAULT",
@@ -145,7 +146,7 @@ class TapeDraws:
 
     Certain outcomes (p_zero 0 or 1) never consume tape, matching
     SplitMix64.draw, so a tape enumerates exactly the genuine branch
-    points of a run.  (enumerate_branches forks its tapes instead.)
+    points of a run.  (enumerate_branches forks the run itself instead.)
     """
 
     __slots__ = ("_tape", "_pos", "log")
@@ -177,17 +178,6 @@ class TapeDraws:
             num *= p_zero.numerator if bit == 0 else p_zero.denominator - p_zero.numerator
             den *= p_zero.denominator
         return Fraction(num, den)
-
-
-class _ForkingTape(TapeDraws):
-    """Past its end, takes outcome 1 at each genuine branch and puts the
-    tape that takes 0 there on the ``pending`` stack."""
-
-    __slots__ = ("pending",)
-
-    def _past_end(self, p_zero: Fraction) -> None:
-        self.pending.append(self._tape + (0,))
-        self._tape += (1,)
 
 
 @dataclass(frozen=True)
@@ -396,8 +386,7 @@ class Action:
     halt: bool = False
 
 
-@dataclass(frozen=True)
-class Inbox:
+class Inbox(NamedTuple):
     """Everything delivered to one player at the start of one step."""
 
     step: int
@@ -419,6 +408,14 @@ class Strategy:
     pair_only = False  # True for a strategy that only plays chosen pairs
 
     def make_players(self, instance: GameInstance, draws) -> list[Player]:
+        """One player per seat; players draw from ``draws``, and only in ``act``.
+
+        :func:`enumerate_branches` forks a run at its draws, so a seating
+        must satisfy two conditions.  ``copy.deepcopy`` of the list, with
+        ``draws`` mapped to another source in the memo, gives an equivalent
+        seating that draws from that source.  An act that draws changes no
+        state before its first draw.
+        """
         raise NotImplementedError
 
     def empty_group_action(
@@ -539,9 +536,136 @@ class RunResult:
         return "\n".join(lines)
 
 
+_NOTHING_SENT = StepRecord(0, (), ())  # what step 1 delivers
+
+
 def _check_bits(payload: str, what: str) -> None:
-    if any(c not in "01" for c in payload):
+    if payload.strip("01"):
         raise ValueError(f"{what} must be a 0/1 string, got {payload!r}")
+
+
+class _Run:
+    """One run between two acts: seat ``seat`` acts next, in step ``step``.
+
+    ``broadcasts`` and ``group_messages`` are what step ``step`` has sent so
+    far; step ``step - 1``'s record, the last of ``steps``, is what it
+    delivers.  Only :meth:`play` changes a run, so :meth:`fork` can copy it
+    between acts, or inside an act that has not changed anything yet.
+    """
+
+    __slots__ = (
+        "instance", "strategy", "draws", "step_limit", "players", "group_of",
+        "step", "seat", "halted", "outputs", "steps", "broadcasts", "group_messages",
+    )
+
+    def __init__(
+        self, instance: GameInstance, strategy: Strategy, draws, step_limit: int
+    ) -> None:
+        grouping = instance.grouping
+        n = grouping.n
+        if getattr(strategy, "n", None) != n:
+            raise ValueError(
+                f"strategy is for n={getattr(strategy, 'n', None)}, instance has n={n}"
+            )
+        self.instance, self.strategy, self.draws = instance, strategy, draws
+        self.step_limit = step_limit
+        if isinstance(draws, _BranchDraws):
+            draws.run = self  # the branch walk forks this run at its draws
+        self.players = strategy.make_players(instance, draws)
+        if len(self.players) != n:
+            raise ValueError("strategy must supply one player per seat")
+
+        self.group_of = {i: gi for gi, g in enumerate(grouping.groups) for i in g}
+        self.step, self.seat = 1, 1
+        self.halted = [False] * (n + 1)
+        self.outputs: dict[int, str] = {}
+        self.steps: list[StepRecord] = []
+        self.broadcasts: list[BroadcastRecord] = []  # step 1 opens with the empty groups'
+        self.group_messages: list[GroupMessage] = []
+        for gi, g in enumerate(grouping.groups):
+            injected = None if g else strategy.empty_group_action(instance, gi)
+            if injected is None:
+                continue
+            if injected.broadcast is None or injected.output is not None:
+                raise ValueError("empty-group action may only broadcast")
+            _check_bits(injected.broadcast, "broadcast payload")
+            self.broadcasts.append(
+                BroadcastRecord(0, injected.broadcast, injected.broadcast_fixed_length)
+            )
+
+    def fork(self, draws: "_BranchDraws") -> "_Run":
+        """A copy of this run whose players draw from ``draws``."""
+        twin = _Run.__new__(_Run)
+        for name in _Run.__slots__:
+            setattr(twin, name, getattr(self, name))
+        twin.halted = self.halted[:]
+        twin.outputs = self.outputs.copy()
+        twin.steps = self.steps[:]
+        twin.broadcasts = self.broadcasts[:]
+        twin.group_messages = self.group_messages[:]
+        twin.players = copy.deepcopy(self.players, {id(self.draws): draws})
+        twin.draws, draws.run = draws, twin
+        return twin
+
+    def play(self) -> RunResult:
+        """Play the remaining acts and judge the run."""
+        instance = self.instance
+        query, chosen, aux_group = instance.query, instance.chosen, instance.aux_group
+        players, group_of, halted, outputs = (
+            self.players, self.group_of, self.halted, self.outputs
+        )
+        n = len(players)
+        while True:
+            t = self.step
+            if t > self.step_limit:
+                raise StepLimitExceeded(f"run exceeded {self.step_limit} steps without halting")
+            first = t == 1
+            last = self.steps[-1] if self.steps else _NOTHING_SENT
+            delivered = tuple((r.sender, r.payload) for r in last.broadcasts)
+            broadcasts, group_messages = self.broadcasts, self.group_messages
+            for i in range(self.seat, n + 1):
+                if halted[i]:
+                    continue
+                self.seat = i
+                gi = group_of[i]
+                inbox = Inbox(
+                    t,
+                    query[gi] if first else None,
+                    chosen if first and gi == aux_group else None,
+                    tuple(
+                        (m.sender, m.payload)
+                        for m in last.group_messages
+                        if m.group == gi and m.sender != i
+                    ),
+                    delivered,
+                )
+                action = players[i - 1].act(inbox)
+                if action.group_message is not None:
+                    _check_bits(action.group_message, "group message")
+                    group_messages.append(GroupMessage(i, gi, action.group_message))
+                if action.broadcast is not None:
+                    _check_bits(action.broadcast, "broadcast payload")
+                    broadcasts.append(
+                        BroadcastRecord(i, action.broadcast, action.broadcast_fixed_length)
+                    )
+                if action.output is not None:
+                    _check_bits(action.output, "final output")
+                    if gi in outputs:
+                        raise ProtocolViolation(
+                            f"group {gi} received a second final output from player {i}"
+                        )
+                    outputs[gi] = action.output
+                if action.halt:
+                    halted[i] = True
+
+            self.steps.append(StepRecord(t, tuple(broadcasts), tuple(group_messages)))
+            if all(halted[1:]):
+                break
+            self.step, self.seat = t + 1, 1
+            self.broadcasts, self.group_messages = [], []
+
+        final = tuple(outputs.get(g, "") for g in range(instance.grouping.m))
+        return RunResult(bool(instance.allowed(final)), Transcript(tuple(self.steps), final))
 
 
 def run_game(
@@ -560,78 +684,44 @@ def run_game(
     second output in the same group raises :class:`ProtocolViolation`, and
     exceeding the step limit raises :class:`StepLimitExceeded`.
     """
-    grouping = instance.grouping
-    n = grouping.n
-    if getattr(strategy, "n", None) != n:
-        raise ValueError(
-            f"strategy is for n={getattr(strategy, 'n', None)}, instance has n={n}"
-        )
-    players = strategy.make_players(instance, draws)
-    if len(players) != n:
-        raise ValueError("strategy must supply one player per seat")
+    return _Run(instance, strategy, draws, step_limit).play()
 
-    group_of = {i: gi for gi, g in enumerate(grouping.groups) for i in g}
-    halted = [False] * (n + 1)
-    outputs: dict[int, str] = {}
-    steps: list[StepRecord] = []
-    last = StepRecord(0, (), ())  # nothing is delivered before step 1
-    opening: list[BroadcastRecord] = []  # step 1's broadcasts for empty groups
-    for gi, g in enumerate(grouping.groups):
-        injected = None if g else strategy.empty_group_action(instance, gi)
-        if injected is None:
-            continue
-        if injected.broadcast is None or injected.output is not None:
-            raise ValueError("empty-group action may only broadcast")
-        _check_bits(injected.broadcast, "broadcast payload")
-        opening.append(BroadcastRecord(0, injected.broadcast, injected.broadcast_fixed_length))
 
-    for t in range(1, step_limit + 1):
-        step_broadcasts = opening if t == 1 else []
-        step_group_msgs: list[GroupMessage] = []
-        delivered_broadcasts = tuple((r.sender, r.payload) for r in last.broadcasts)
-        for i in range(1, n + 1):
-            if halted[i]:
-                continue
-            gi = group_of[i]
-            inbox = Inbox(
-                step=t,
-                query=instance.query[gi] if t == 1 else None,
-                aux=instance.chosen if (t == 1 and gi == instance.aux_group) else None,
-                group_messages=tuple(
-                    (m.sender, m.payload)
-                    for m in last.group_messages
-                    if m.group == gi and m.sender != i
-                ),
-                broadcasts=delivered_broadcasts,
-            )
-            action = players[i - 1].act(inbox)
-            if action.group_message is not None:
-                _check_bits(action.group_message, "group message")
-                step_group_msgs.append(GroupMessage(i, gi, action.group_message))
-            if action.broadcast is not None:
-                _check_bits(action.broadcast, "broadcast payload")
-                step_broadcasts.append(
-                    BroadcastRecord(i, action.broadcast, action.broadcast_fixed_length)
-                )
-            if action.output is not None:
-                _check_bits(action.output, "final output")
-                if gi in outputs:
-                    raise ProtocolViolation(
-                        f"group {gi} received a second final output from player {i}"
-                    )
-                outputs[gi] = action.output
-            if action.halt:
-                halted[i] = True
+class _BranchDraws(TapeDraws):
+    """Draw source of one run of :func:`enumerate_branches`: past its tape,
+    each genuine draw takes outcome 1 and stacks the run that takes 0.
+    ``log`` starts with the draws of the prefix the run was copied at."""
 
-        last = StepRecord(t, tuple(step_broadcasts), tuple(step_group_msgs))
-        steps.append(last)
-        if all(halted[1:]):
-            break
-    else:
-        raise StepLimitExceeded(f"run exceeded {step_limit} steps without halting")
+    __slots__ = ("run", "stack", "act", "fresh")
 
-    final = tuple(outputs.get(g, "") for g in range(grouping.m))
-    return RunResult(bool(instance.allowed(final)), Transcript(tuple(steps), final))
+    def __init__(
+        self, stack: list[_Run], tape: tuple[int, ...] = (), log: Iterable = ()
+    ) -> None:
+        super().__init__(tape)
+        self.log += log
+        self._pos = len(self.log)
+        self.run: _Run | None = None
+        self.stack = stack
+        self.act: tuple[int, int] | None = None  # (step, seat) of the last draw
+        self.fresh = False  # whether the current draw, certain or not, is its act's first
+
+    def draw(self, p_zero: Fraction) -> int:
+        act = (self.run.step, self.run.seat)
+        self.fresh, self.act = act != self.act, act
+        return super().draw(p_zero)
+
+    def _past_end(self, p_zero: Fraction) -> None:
+        run, tape = self.run, self._tape + (0,)
+        if self.fresh:
+            # the act has changed nothing yet, so a copy of the run replays
+            # it from its start
+            fork = run.fork(_BranchDraws(self.stack, tape, self.log))
+        else:
+            # a later draw of the act: no copy from before the act is kept,
+            # so the fork replays from the root
+            fork = _Run(run.instance, run.strategy, _BranchDraws(self.stack, tape), run.step_limit)
+        self.stack.append(fork)
+        self._tape += (1,)
 
 
 def enumerate_branches(
@@ -640,18 +730,25 @@ def enumerate_branches(
     *,
     step_limit: int = STEP_LIMIT_DEFAULT,
 ) -> Iterator[tuple[RunResult, Fraction]]:
-    """All runs with nonzero probability, via depth-first outcome tapes.
+    """All runs with nonzero probability, by a depth-first walk that forks
+    the run at each genuine draw.
 
-    Past its tape a run takes outcome 1 at each genuine branch and stacks
-    the tape that takes 0, so every run yields a leaf, 1-branches first.
-    Deterministic strategies yield exactly one branch of probability 1.
+    :func:`run_game` plays the first run.  At each genuine draw past its
+    tape a run takes outcome 1 and stacks the run that takes 0, which
+    replays the drawing act from its start with the act's earlier outcomes
+    and then 0, counting their probability once.  At the act's first draw
+    that run is a copy of the current one (see :meth:`Strategy.make_players`),
+    so shared prefixes are played once; at a later draw of the same act it
+    is a replay from the root.  Every run yields one leaf, 1-branches
+    first.  Deterministic strategies yield exactly one branch of
+    probability 1.
     """
-    stack: list[tuple[int, ...]] = [()]
+    stack: list[_Run] = []
+    draws = _BranchDraws(stack)
+    yield run_game(instance, strategy, draws, step_limit=step_limit), draws.branch_probability()
     while stack:
-        draws = _ForkingTape(stack.pop())
-        draws.pending = stack
-        result = run_game(instance, strategy, draws, step_limit=step_limit)
-        yield result, draws.branch_probability()
+        run = stack.pop()
+        yield run.play(), run.draws.branch_probability()
 
 
 def check_strategy_fits(spec: GameSpec, strategy: Strategy) -> None:

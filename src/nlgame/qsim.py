@@ -344,6 +344,9 @@ class StateVector:
     def __hash__(self) -> int:
         return hash((self._n, self.amplitudes))
 
+    def __deepcopy__(self, memo) -> "StateVector":
+        return self  # immutable
+
     def __repr__(self) -> str:
         return f"StateVector(num_qubits={self._n}, support={len(self.support)})"
 

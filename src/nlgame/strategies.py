@@ -5,7 +5,7 @@ The quantum strategy, one class under the names ``quantum-simple`` and
 players measure diagonally and pool their outcomes inside the group; the
 lowest-indexed one broadcasts the parity of the observed count as a single
 fixed-length hint bit.  Each chosen player then measures diagonally when
-the hint is 1 and circularly when it is 0 and outputs his outcome bit
+the hint is 1 and circularly when it is 0 and outputs the outcome bit
 (0 for the first basis vector).  The classical strategies broadcast either
 a label or a best-response hint bit and respond deterministically.
 
@@ -17,6 +17,7 @@ for the labeling strategy.
 
 from __future__ import annotations
 
+import copy
 import enum
 import itertools
 from dataclasses import dataclass
@@ -166,6 +167,10 @@ class QuantumSharedState:
         outcome, self.state, _p = measure_qubit(self.state, qubit, basis, self._draws)
         return outcome
 
+    def __deepcopy__(self, memo) -> "QuantumSharedState":
+        # the register is immutable, so a copy shares it; the draws follow the memo
+        return QuantumSharedState(self.state, copy.deepcopy(self._draws, memo))
+
 
 def _seat(n: int, instance: GameInstance, chosen_role, leader_role, other_role) -> list:
     """One player per seat, made by the seat's role: a chosen player, the
@@ -178,6 +183,9 @@ def _seat(n: int, instance: GameInstance, chosen_role, leader_role, other_role) 
     ]
 
 
+_WAIT = Action()  # a waiting player's act
+
+
 class _Responder:
     """Chosen player: waits for the first broadcast, outputs its response."""
 
@@ -188,7 +196,7 @@ class _Responder:
 
     def act(self, inbox: Inbox) -> Action:
         if not inbox.broadcasts:
-            return Action()
+            return _WAIT
         return Action(output=self._respond(inbox.broadcasts[0][1]), halt=True)
 
 
@@ -212,6 +220,26 @@ class _SilentHalter:
         return Action(halt=True)
 
 
+class _Measurer:
+    """Chosen player of the GHZ strategy: once the hint arrives, measures
+    diagonally on hint 1 and circularly on hint 0 and outputs the outcome."""
+
+    __slots__ = ("_index", "_shared")
+
+    def __init__(self, index: int, shared: QuantumSharedState) -> None:
+        self._index = index
+        self._shared = shared
+
+    def act(self, inbox: Inbox) -> Action:
+        if not inbox.broadcasts:
+            return _WAIT
+        basis = MeasBasis.DIAGONAL if inbox.broadcasts[0][1] == "1" else MeasBasis.CIRCULAR
+        return Action(output=str(self._shared.measure(self._index, basis)), halt=True)
+
+    def __deepcopy__(self, memo) -> "_Measurer":
+        return _Measurer(self._index, copy.deepcopy(self._shared, memo))
+
+
 class _OutcomeReporter:
     """Remaining player: measures diagonally and reports in-group; the
     leader then pools the group's outcomes and broadcasts their parity."""
@@ -223,6 +251,11 @@ class _OutcomeReporter:
         self._shared = shared
         self._leader = leader
         self._own = 0
+
+    def __deepcopy__(self, memo) -> "_OutcomeReporter":
+        twin = _OutcomeReporter(self._index, copy.deepcopy(self._shared, memo), self._leader)
+        twin._own = self._own
+        return twin
 
     def act(self, inbox: Inbox) -> Action:
         if inbox.step == 1:
@@ -243,18 +276,10 @@ class _QuantumParityStrategy(Strategy):
 
     def make_players(self, instance: GameInstance, draws) -> list:
         shared = QuantumSharedState.ghz(self.n, draws)
-
-        def measurer(i: int) -> _Responder:
-            def respond(hint: str) -> str:
-                basis = MeasBasis.DIAGONAL if hint == "1" else MeasBasis.CIRCULAR
-                return str(shared.measure(i, basis))
-
-            return _Responder(respond)
-
         return _seat(
             self.n,
             instance,
-            measurer,
+            lambda i: _Measurer(i, shared),
             lambda i: _OutcomeReporter(i, shared, leader=True),
             lambda i: _OutcomeReporter(i, shared, leader=False),
         )
@@ -285,7 +310,7 @@ def quantum_general_strategy(n: int) -> Strategy:
 
 
 class ClassicalLabelStrategy(Strategy):
-    """Broadcast one chosen player's label; he outputs 1, the others 0."""
+    """Broadcast one chosen player's label; that player outputs 1, the others 0."""
 
     def __init__(self, n: int, labels: LabelTable) -> None:
         self.n = n

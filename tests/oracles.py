@@ -5,8 +5,9 @@ a different representation than the library does: amplitudes live in
 Q(sqrt2, i) as quadruples of Fractions in a dense list instead of scaled
 Gaussian integers in a core times measured factors, game instances are
 built eagerly in one list instead of unranked on access, randomness
-branches are replayed from the root, dropping a run that meets an
-uncovered branch, instead of forked mid-run, the subset-parity condition
+branches are replayed from the root (dropping a run that meets an
+uncovered branch, or forking the tape there) instead of forking the run
+itself mid-run, the subset-parity condition
 is re-derived with an incremental Gray-code walk over all 2^n subsets
 instead of elimination and a walk over the kernel, and the
 classical pair-game bound is brute-forced over raw per-player response
@@ -234,6 +235,35 @@ def replay_branches(instance, strategy, run_game):
         except _TapeEnd:
             stack += [tape + (0,), tape + (1,)]
             continue
+        yield result, draws.probability
+
+
+class _ForkingTape(_ReplayTape):
+    """Replays its tape, then takes outcome 1 at each genuine branch point
+    and puts the tape that takes 0 there on the ``pending`` stack."""
+
+    def __init__(self, tape: tuple[int, ...], pending: list) -> None:
+        super().__init__(tape)
+        self.pending = pending
+
+    def draw(self, p_zero: Fraction) -> int:
+        if 0 < p_zero < 1 and self.used == len(self.tape):
+            self.pending.append(self.tape + (0,))
+            self.tape += (1,)
+        return super().draw(p_zero)
+
+
+def forking_tape_branches(instance, strategy, run_game):
+    """Every (result, probability) of one instance, one root replay per leaf.
+
+    Each tape is replayed from the root by ``run_game``; past its end the
+    run forks the tape at every new branch, so no run is dropped and leaves
+    come out in the order of :func:`replay_branches`.
+    """
+    stack = [()]
+    while stack:
+        draws = _ForkingTape(stack.pop(), stack)
+        result = run_game(instance, strategy, draws)
         yield result, draws.probability
 
 

@@ -202,6 +202,13 @@ def test_verify_out_of_range_checks_are_skipped(capsys):
     assert payload["results"]["passed"] == 1
 
 
+@pytest.mark.parametrize("n", [1, 17])
+def test_verify_outside_every_check_domain_exits_2(n, capsys):
+    code, out, err = run_cli(["verify", "--n", str(n)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"nlgame: error: verify defines no check at n = {n}; use 2 <= n <= 16\n"
+
+
 def test_verify_exit_code_one_on_failed_check(capsys, monkeypatch):
     monkeypatch.setattr(
         cli, "_check_labeling", lambda n: (False, "forced failure for the test")

@@ -11,6 +11,7 @@ from scipy.stats import chisquare
 
 import oracles
 
+import nlgame.strategies
 from nlgame import (
     Action,
     GameInstance,
@@ -539,9 +540,9 @@ def _replay_cases():
 def test_enumerate_branches_matches_the_replay_oracle(make, n, name):
     strategy = strategy_from_name(name, n)
     for instance in make(n).instances:
-        assert _leaves(enumerate_branches(instance, strategy)) == _leaves(
-            oracles.replay_branches(instance, strategy, run_game)
-        )
+        walk = _leaves(enumerate_branches(instance, strategy))
+        assert walk == _leaves(oracles.replay_branches(instance, strategy, run_game))
+        assert walk == _leaves(oracles.forking_tape_branches(instance, strategy, run_game))
 
 
 class _CountingRuns(Strategy):
@@ -561,16 +562,75 @@ class _CountingRuns(Strategy):
         return self.inner.empty_group_action(instance, group_index)
 
 
-def test_enumerate_branches_runs_each_leaf_once():
-    # replaying from the root made 31 runs for these 16 leaves
+def test_enumerate_branches_runs_each_leaf_once(monkeypatch):
+    # each pair has 4 genuine draws (the three remaining players and the
+    # first chosen one) and 5 measurements on every path.  The first run
+    # makes 5; a fork at depth d copies the run and replays only the act
+    # that drew, 6 - d measurements, and there are 2^(d - 1) such forks:
+    # 5 + 5 + 8 + 12 + 16 = 46.  Replaying every leaf from the root made
+    # 16 seatings and 80 measurements.
+    measured = []
+    measure = nlgame.strategies.measure_qubit
+    monkeypatch.setattr(
+        nlgame.strategies, "measure_qubit", lambda *args: measured.append(1) or measure(*args)
+    )
     strategy = _CountingRuns(quantum_simple_strategy(5))
     for instance in make_simple_game(5).instances:
         strategy.runs = 0
+        measured.clear()
         assert len(list(enumerate_branches(instance, strategy))) == 16
-        assert strategy.runs == 16
+        assert strategy.runs == 1
+        assert len(measured) == 46 < 3 * 16
     deterministic = _CountingRuns(strategy_from_name("classical-label", 4))
     assert len(list(enumerate_branches(make_general_game(4).instances[0], deterministic))) == 1
     assert deterministic.runs == 1
+
+
+class _DoubleDraw(Strategy):
+    """Each chosen player draws in step 1 a certain 1 (p_zero = 0) and then
+    twice genuinely, at p_zero = 1/4 and then 3/4; it keeps its draws in a
+    list and outputs their parity.  The remaining players halt.  Players
+    hold their draw source, so a copy draws from the source it is mapped to."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def make_players(self, instance, draws):
+        chosen = set(instance.chosen)
+
+        class P:
+            def __init__(self, i):
+                self.i = i
+                self.draws = draws
+                self.drawn = []
+
+            def act(self, inbox):
+                if self.i not in chosen:
+                    return Action(halt=True)
+                self.drawn.append(self.draws.draw(Fraction(0)))
+                self.drawn.append(self.draws.draw(Fraction(1, 4)))
+                self.drawn.append(self.draws.draw(Fraction(3, 4)))
+                return Action(output=str(sum(self.drawn) % 2), halt=True)
+
+        return [P(i) for i in range(1, self.n + 1)]
+
+
+def test_enumerate_branches_forks_acts_that_draw_twice():
+    # a fork at an act's second genuine draw must replay the act's first
+    # outcome, a fork after the act's certain draw must not keep it twice,
+    # and forks must not share the players' lists
+    spec = make_simple_game(4)
+    strategy = _DoubleDraw(4)
+    for instance in spec.instances:
+        walk = list(itertools.islice(enumerate_branches(instance, strategy), 17))
+        assert len(walk) == 16
+        assert _leaves(walk) == _leaves(oracles.replay_branches(instance, strategy, run_game))
+    # a chosen player outputs 1 when its genuine draws agree, with
+    # probability 1/4 * 3/4 + 3/4 * 1/4 = 3/8, and the pair wins when
+    # exactly one of them does: 2 * 3/8 * 5/8
+    masses, bits, all_won = fold_runs(spec, strategy)
+    assert masses == [Fraction(15, 32)] * 6
+    assert bits == {0} and not all_won
 
 
 def test_broadcast_complexity_exhaustive():
