@@ -12,16 +12,14 @@ elimination and a walk over the 2^(n - rank) kernel vectors, in
 O(n * rank + 2^(n - rank)) steps, for kernels of dimension <= 24.  Both
 searches run in canonical order (rows strictly increasing as integers),
 which is exhaustive because the winning conditions are invariant under
-row reordering.  All searches are pure functions of n and can be
-partitioned by leading-row prefix if callers want to farm them out.
+row reordering.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from math import ceil, comb, log2
+from math import ceil, comb, log2, sqrt
 
 __all__ = [
     "AssignmentSearchResult",
@@ -34,7 +32,6 @@ __all__ = [
     "check_gf2_condition",
     "find_gf2_family",
     "min_dimension_general",
-    "appendix_bound",
     "verify_lemma_chain",
 ]
 
@@ -108,15 +105,9 @@ class ResponseTable:
         if any(not 0 <= r < (1 << self.length) for r in self.rows):
             raise ValueError(f"rows must fit in {self.length} bits")
 
-    def row_string(self, player: int) -> str:
-        return format(self.rows[player - 1], f"0{self.length}b")
-
     def wins_simple(self) -> bool:
         """True iff every pair can be steered to differing outputs."""
         return len(set(self.rows)) == self.n
-
-    def to_gf2_family(self) -> "GF2Family":
-        return GF2Family(dimension=self.length, vectors=self.rows)
 
 
 def find_response_table(n: int, length: int) -> ResponseTable | None:
@@ -290,13 +281,6 @@ def min_dimension_general(n: int) -> int:
     raise AssertionError("the n standard basis vectors always pass")
 
 
-def appendix_bound(n: int) -> float:
-    """Lower bound sqrt(n) - 2 on the dimension of any passing family."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return math.sqrt(n) - 2.0
-
-
 def _labeling_witness_family(n: int) -> GF2Family:
     # response family of the labeling strategy: transcript space is all
     # ceil(log2 n)-bit labels, player i outputs 1 only on its own label
@@ -345,7 +329,7 @@ def verify_lemma_chain(n: int) -> LemmaChainReport:
     return LemmaChainReport(
         n=n,
         min_dimension=l_min,
-        sqrt_bound=appendix_bound(n),
+        sqrt_bound=sqrt(n) - 2.0,
         lower_bound_holds=(l_min + 2) ** 2 >= n,
         log2_min_dimension=log2(l_min),
         broadcast_lower_bits=log2(n) / 2 - 2.0,

@@ -52,8 +52,6 @@ __all__ = [
     "Inbox",
     "Player",
     "Strategy",
-    "encode_broadcast",
-    "decode_step",
     "BroadcastRecord",
     "GroupMessage",
     "StepRecord",
@@ -200,12 +198,6 @@ class Grouping:
     def m(self) -> int:
         return len(self.groups)
 
-    def group_of(self, player: int) -> int:
-        for gi, g in enumerate(self.groups):
-            if player in g:
-                return gi
-        raise ValueError(f"player {player} not in any group")
-
 
 @dataclass(frozen=True)
 class GameInstance:
@@ -213,8 +205,6 @@ class GameInstance:
 
     ``chosen`` names the distinguished players (the singleton groups);
     players of group ``aux_group`` receive it as auxiliary input in step 1.
-    ``allowed_outputs`` enumerates the winning tuples when the winning set
-    is finite.
     """
 
     grouping: Grouping
@@ -222,7 +212,6 @@ class GameInstance:
     allowed: Callable[[tuple[str, ...]], bool]
     chosen: tuple[int, ...]
     aux_group: int | None = None
-    allowed_outputs: Callable[[], Iterator[tuple[str, ...]]] | None = None
     label: str = ""
 
 
@@ -293,16 +282,13 @@ class GameSpec:
     instances: InstanceSequence
     below_analysis_min: bool = False
 
-    def enumerate(self) -> Iterator[GameInstance]:
-        return iter(self.instances)
-
     def sample(self, rng: SplitMix64) -> GameInstance:
         return self.instances[rng.below(self.instances.size)]
 
 
 def _parity_rule(k: int):
-    """The winning predicate and winning tuples of a chosen set of size k:
-    single-bit outputs of odd total parity, the remaining group silent."""
+    """The winning predicate of a chosen set of size k: single-bit outputs
+    of odd total parity, the remaining group silent."""
 
     def allowed(outputs: tuple[str, ...]) -> bool:
         if len(outputs) != k + 1 or outputs[k] != "":
@@ -311,12 +297,7 @@ def _parity_rule(k: int):
             return False
         return sum(int(o) for o in outputs[:k]) % 2 == 1
 
-    def enumerate_winning() -> Iterator[tuple[str, ...]]:
-        for bits in itertools.product("01", repeat=k):
-            if sum(int(b) for b in bits) % 2 == 1:
-                yield bits + ("",)
-
-    return allowed, enumerate_winning
+    return allowed
 
 
 def _parity_game(
@@ -325,20 +306,18 @@ def _parity_game(
     """Parity game over the chosen sets whose size is in ``sizes``;
     ``label(chosen)`` names each instance."""
     players = frozenset(range(1, n + 1))
-    # one predicate pair per size, shared by every instance of that size
+    # one predicate per size, shared by every instance of that size
     rules = {k: _parity_rule(k) for k in sizes}
 
     def build(chosen: tuple[int, ...]) -> GameInstance:
         k = len(chosen)
-        allowed, enumeration = rules[k]
         groups = tuple(frozenset({c}) for c in chosen) + (players - set(chosen),)
         return GameInstance(
             grouping=Grouping(groups, n),
             query=("0",) * k + ("1",),
-            allowed=allowed,
+            allowed=rules[k],
             chosen=chosen,
             aux_group=k,
-            allowed_outputs=enumeration,
             label=label(chosen),
         )
 
@@ -425,47 +404,6 @@ class Strategy:
         return None
 
 
-def encode_broadcast(payload: str, fixed_length: bool) -> str:
-    """Wire form of one broadcast; variable-length payloads get flag bits."""
-    if fixed_length:
-        return payload
-    return "".join("1" + b for b in payload) + "0"
-
-
-def decode_step(stream: str, schedule: Sequence[tuple[bool, int | None]]) -> list[str]:
-    """Split a concatenated step broadcast back into payloads.
-
-    ``schedule`` lists (fixed_length, payload_length or None) per message,
-    which every player knows from the protocol phase.  Raises ValueError if
-    the stream does not parse exactly.
-    """
-    payloads = []
-    pos = 0
-    for fixed, length in schedule:
-        if fixed:
-            if length is None or pos + length > len(stream):
-                raise ValueError("fixed-length message truncated")
-            payloads.append(stream[pos : pos + length])
-            pos += length
-        else:
-            bits = []
-            while True:
-                if pos >= len(stream):
-                    raise ValueError("variable-length message missing terminator")
-                flag = stream[pos]
-                pos += 1
-                if flag == "0":
-                    break
-                if pos >= len(stream):
-                    raise ValueError("continuation flag without payload bit")
-                bits.append(stream[pos])
-                pos += 1
-            payloads.append("".join(bits))
-    if pos != len(stream):
-        raise ValueError("trailing bits after scheduled messages")
-    return payloads
-
-
 @dataclass(frozen=True)
 class BroadcastRecord:
     sender: int
@@ -500,19 +438,6 @@ class Transcript:
     def broadcast_bits(self) -> int:
         return sum(r.bit_cost for s in self.steps for r in s.broadcasts)
 
-    def to_lines(self) -> list[str]:
-        lines = []
-        for s in self.steps:
-            for r in s.group_messages:
-                lines.append(
-                    f"step {s.step} | player {r.sender} | scope group | bits {r.payload}"
-                )
-            for r in s.broadcasts:
-                lines.append(
-                    f"step {s.step} | player {r.sender} | scope broadcast | bits {r.payload}"
-                )
-        return lines
-
 
 @dataclass(frozen=True)
 class RunResult:
@@ -522,18 +447,6 @@ class RunResult:
     @property
     def broadcast_bits(self) -> int:
         return self.transcript.broadcast_bits
-
-    def to_text(self) -> str:
-        import json
-
-        lines = [
-            f"won: {'true' if self.won else 'false'}",
-            f"broadcast_bits: {self.broadcast_bits}",
-            f"final_outputs: {json.dumps(list(self.transcript.final_outputs))}",
-            "transcript:",
-        ]
-        lines += ["  " + l for l in self.transcript.to_lines()]
-        return "\n".join(lines)
 
 
 _NOTHING_SENT = StepRecord(0, (), ())  # what step 1 delivers

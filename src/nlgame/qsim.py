@@ -30,7 +30,6 @@ __all__ = [
     "MeasurementRecord",
     "StateVector",
     "make_ghz",
-    "basis_state",
     "measure_qubit",
     "outcome_probability",
 ]
@@ -321,9 +320,6 @@ class StateVector:
         """Indices of nonzero amplitudes, ascending."""
         return self._dense_view()[1]
 
-    def amplitude(self, index: int) -> ExactAmplitude:
-        return self.amplitudes[index]
-
     def norm_squared(self) -> Fraction:
         # factors are unit basis vectors, so the core carries the whole norm
         return _fraction(*_mass((a._re, a._im, a._scale) for a in self._core.values()))
@@ -348,7 +344,11 @@ class StateVector:
         return self  # immutable
 
     def __repr__(self) -> str:
-        return f"StateVector(num_qubits={self._n}, support={len(self.support)})"
+        # reads the factored form only: the dense view may hold 2**n slots
+        return (
+            f"StateVector(num_qubits={self._n}, core={len(self._core)}, "
+            f"measured={len(self._factors)})"
+        )
 
 
 def make_ghz(n: int, *, cap: int = QUBIT_CAP) -> StateVector:
@@ -357,13 +357,6 @@ def make_ghz(n: int, *, cap: int = QUBIT_CAP) -> StateVector:
         raise ValueError(f"GHZ register size must be in [1, {cap}], got {n}")
     half = ExactAmplitude.inv_sqrt2()
     return StateVector._factored(n, {0: half, (1 << n) - 1: half}, {})
-
-
-def basis_state(basis: MeasBasis, bit: int) -> StateVector:
-    """Single-qubit basis vector for ``basis`` with outcome label ``bit``."""
-    if bit not in (0, 1):
-        raise ValueError("bit must be 0 or 1")
-    return StateVector(1, _basis_amplitudes(basis, bit), validate_norm=False)
 
 
 def _add_term(acc: dict, key: int, re: int, im: int, scale: int) -> None:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import copy
 import enum
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, log2
 from typing import Callable, Iterable
@@ -38,15 +37,11 @@ from .qsim import (
 
 __all__ = [
     "ClassicalAtomStrategy",
-    "StrategyAssignment",
-    "best_response_hint_rule",
-    "LabelTable",
     "QuantumSharedState",
     "losing_probability_formula",
     "quantum_simple_strategy",
     "quantum_general_strategy",
     "classical_label_strategy",
-    "classical_atom_strategy_assignment",
     "strategy_from_name",
     "simple_strategy_losing_mass",
     "general_strategy_forbidden_mass",
@@ -86,63 +81,6 @@ class ClassicalAtomStrategy(enum.Enum):
         if self is ClassicalAtomStrategy.COPY_HINT:
             return hint
         return 1 - hint
-
-
-def best_response_hint_rule(
-    atoms: tuple[ClassicalAtomStrategy, ...],
-) -> Callable[[int, int], int]:
-    """Hint rule that wins whenever the chosen pair's atoms allow a win."""
-
-    def rule(i: int, j: int) -> int:
-        a, b = atoms[i - 1], atoms[j - 1]
-        for hint in (0, 1):
-            if a.respond(hint) != b.respond(hint):
-                return hint
-        return 0
-
-    return rule
-
-
-@dataclass(frozen=True)
-class StrategyAssignment:
-    """One atom per player plus a total hint rule for the remaining group."""
-
-    atoms: tuple[ClassicalAtomStrategy, ...]
-    hint_rule: Callable[[int, int], int]
-
-    @classmethod
-    def best_response(
-        cls, atoms: tuple[ClassicalAtomStrategy, ...]
-    ) -> "StrategyAssignment":
-        return cls(atoms=tuple(atoms), hint_rule=best_response_hint_rule(tuple(atoms)))
-
-
-@dataclass(frozen=True)
-class LabelTable:
-    """Fixed-length distinct binary labels, one per player (index 1-based)."""
-
-    labels: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.labels:
-            raise ValueError("label table must not be empty")
-        width = len(self.labels[0])
-        if width < 1 or any(len(l) != width for l in self.labels):
-            raise ValueError("labels must share one positive length")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("labels must be distinct")
-
-    @property
-    def length(self) -> int:
-        return len(self.labels[0])
-
-    def label_of(self, player: int) -> str:
-        return self.labels[player - 1]
-
-    @classmethod
-    def binary(cls, n: int) -> "LabelTable":
-        width = max(1, ceil(log2(n)))
-        return cls(tuple(format(i, f"0{width}b") for i in range(n)))
 
 
 class QuantumSharedState:
@@ -312,65 +250,63 @@ def quantum_general_strategy(n: int) -> Strategy:
 class ClassicalLabelStrategy(Strategy):
     """Broadcast one chosen player's label; that player outputs 1, the others 0."""
 
-    def __init__(self, n: int, labels: LabelTable) -> None:
+    def __init__(self, n: int) -> None:
         self.n = n
         self.name = "classical-label"
-        self.labels = labels
+        # player i's label is labels[i - 1], i - 1 in ceil(log2 n) binary digits
+        width = max(1, ceil(log2(n)))
+        self.labels = tuple(format(i, f"0{width}b") for i in range(n))
 
     def make_players(self, instance: GameInstance, draws) -> list:
-        label_of = self.labels.label_of
+        labels = self.labels
         return _seat(
             self.n,
             instance,
-            lambda i: _Responder(lambda label: "1" if label == label_of(i) else "0"),
-            lambda i: _Announcer(lambda chosen: label_of(min(chosen))),
+            lambda i: _Responder(lambda label: "1" if label == labels[i - 1] else "0"),
+            lambda i: _Announcer(lambda chosen: labels[min(chosen) - 1]),
             lambda i: _SilentHalter(),
         )
 
     def empty_group_action(
         self, instance: GameInstance, group_index: int
     ) -> Action | None:
-        return Action(
-            broadcast=self.labels.label_of(1), broadcast_fixed_length=True
-        )
+        return Action(broadcast=self.labels[0], broadcast_fixed_length=True)
 
 
 def classical_label_strategy(n: int) -> Strategy:
     """Labeling strategy: ceil(log2 n) broadcast bits, wins every instance."""
     if n < 2:
         raise ValueError(f"labeling strategy needs n >= 2, got {n}")
-    return ClassicalLabelStrategy(n, LabelTable.binary(n))
+    return ClassicalLabelStrategy(n)
 
 
 class ClassicalAtomAssignment(Strategy):
-    """Pair-game strategy from per-player atoms plus a hint rule."""
+    """Pair-game strategy from one atom per player.  The leader hints the
+    best response: a hint on which the chosen pair's atoms respond
+    differently, or 0 when no hint separates them."""
 
     pair_only = True
 
-    def __init__(self, assignment: StrategyAssignment) -> None:
-        self.n = len(assignment.atoms)
+    def __init__(self, atoms: tuple[ClassicalAtomStrategy, ...]) -> None:
+        if len(atoms) < 3:
+            raise ValueError(f"atom assignment needs n >= 3 players, got {len(atoms)}")
+        self.n = len(atoms)
         self.name = "classical-atoms"
-        self.assignment = assignment
+        self.atoms = atoms
+
+    def _hint(self, pair: tuple[int, int]) -> int:
+        a, b = (self.atoms[i - 1] for i in pair)
+        return next((hint for hint in (0, 1) if a.respond(hint) != b.respond(hint)), 0)
 
     def make_players(self, instance: GameInstance, draws) -> list:
-        atoms, rule = self.assignment.atoms, self.assignment.hint_rule
+        atoms = self.atoms
         return _seat(
             self.n,
             instance,
             lambda i: _Responder(lambda hint: str(atoms[i - 1].respond(int(hint)))),
-            lambda i: _Announcer(lambda pair: str(rule(*pair))),
+            lambda i: _Announcer(lambda pair: str(self._hint(pair))),
             lambda i: _SilentHalter(),
         )
-
-
-def classical_atom_strategy_assignment(assignment: StrategyAssignment) -> Strategy:
-    """Pair-game strategy for an explicit atom assignment."""
-    n = len(assignment.atoms)
-    if n < 3:
-        raise ValueError(f"atom assignment needs n >= 3 players, got {n}")
-    if assignment.hint_rule is None:
-        raise ValueError("assignment needs a total hint rule")
-    return ClassicalAtomAssignment(assignment)
 
 
 _ATOM_TOKENS = {a.value: a for a in ClassicalAtomStrategy}
@@ -399,7 +335,7 @@ def strategy_from_name(name: str, n: int) -> Strategy:
             ) from None
         if len(atoms) != n:
             raise ValueError(f"expected {n} atom tags, got {len(atoms)}")
-        return classical_atom_strategy_assignment(StrategyAssignment.best_response(atoms))
+        return ClassicalAtomAssignment(atoms)
     raise ValueError(f"unknown strategy {name!r}")
 
 

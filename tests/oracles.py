@@ -9,9 +9,11 @@ branches are replayed from the root (dropping a run that meets an
 uncovered branch, or forking the tape there) instead of forking the run
 itself mid-run, the subset-parity condition
 is re-derived with an incremental Gray-code walk over all 2^n subsets
-instead of elimination and a walk over the kernel, and the
+instead of elimination and a walk over the kernel, the
 classical pair-game bound is brute-forced over raw per-player response
-assignments instead of class-size profiles.  Clarity beats speed; these only run at small sizes.
+assignments instead of class-size profiles, and a broadcast's bit cost is
+checked against its encoded wire form, which the library only counts.
+Clarity beats speed; these only run at small sizes.
 """
 
 from __future__ import annotations
@@ -193,6 +195,47 @@ def eager_instances(game: str, n: int) -> tuple[EagerInstance, ...]:
             label = "C={" + ",".join(map(str, chosen)) + "}"
             out.append(EagerInstance(chosen, label, groups, ("0",) * k + ("1",), k))
     return tuple(out)
+
+
+def encode_broadcast(payload: str, fixed_length: bool) -> str:
+    """Wire form of one broadcast; variable-length payloads get flag bits."""
+    if fixed_length:
+        return payload
+    return "".join("1" + b for b in payload) + "0"
+
+
+def decode_step(stream: str, schedule) -> list[str]:
+    """Split a concatenated step broadcast back into payloads.
+
+    ``schedule`` lists (fixed_length, payload_length or None) per message,
+    which every player knows from the protocol phase.  Raises ValueError if
+    the stream does not parse exactly.
+    """
+    payloads = []
+    pos = 0
+    for fixed, length in schedule:
+        if fixed:
+            if length is None or pos + length > len(stream):
+                raise ValueError("fixed-length message truncated")
+            payloads.append(stream[pos : pos + length])
+            pos += length
+        else:
+            bits = []
+            while True:
+                if pos >= len(stream):
+                    raise ValueError("variable-length message missing terminator")
+                flag = stream[pos]
+                pos += 1
+                if flag == "0":
+                    break
+                if pos >= len(stream):
+                    raise ValueError("continuation flag without payload bit")
+                bits.append(stream[pos])
+                pos += 1
+            payloads.append("".join(bits))
+    if pos != len(stream):
+        raise ValueError("trailing bits after scheduled messages")
+    return payloads
 
 
 class _TapeEnd(Exception):

@@ -48,7 +48,7 @@ def report(index: int, detail: str) -> None:
 
 
 def _seeded_instance_runs(spec, strategy, reps):
-    for index, instance in enumerate(spec.enumerate()):
+    for index, instance in enumerate(spec.instances):
         for rep in range(reps):
             rng = SplitMix64(SEED + 1_000_003 * index + rep)
             yield run_game(instance, strategy, rng)
@@ -88,7 +88,7 @@ def test_04_simple_game_pseudo_telepathy():
         if n <= _EXHAUSTIVE_MAX_N:
             runs = (
                 result
-                for instance in spec.enumerate()
+                for instance in spec.instances
                 for result, _prob in enumerate_branches(instance, strategy)
             )
         else:
@@ -112,7 +112,7 @@ def test_05_general_game_pseudo_telepathy():
         if n <= _EXHAUSTIVE_MAX_N:
             runs = (
                 result
-                for instance in spec.enumerate()
+                for instance in spec.instances
                 for result, _prob in enumerate_branches(instance, strategy)
             )
         else:
@@ -130,7 +130,7 @@ def test_06_labeling_strategy_universality():
         width = max(1, (n - 1).bit_length())
         spec = make_general_game(n)
         strategy = classical_label_strategy(n)
-        for instance in spec.enumerate():
+        for instance in spec.instances:
             branches = list(enumerate_branches(instance, strategy))
             assert len(branches) == 1  # deterministic
             result, prob = branches[0]

@@ -21,7 +21,6 @@ from nlgame import (
     AssignmentSearchResult,
     GF2Family,
     ResponseTable,
-    appendix_bound,
     check_gf2_condition,
     exhaustive_min_loss,
     find_gf2_family,
@@ -84,12 +83,8 @@ def test_search_result_validates_range():
 
 def test_response_table_accessors():
     table = ResponseTable(n=3, length=2, rows=(0, 1, 2))
-    assert table.row_string(1) == "00"
-    assert table.row_string(3) == "10"
     assert table.wins_simple()
     assert not ResponseTable(n=2, length=1, rows=(1, 1)).wins_simple()
-    family = table.to_gf2_family()
-    assert family.dimension == 2 and family.vectors == (0, 1, 2)
 
 
 def test_response_table_validation():
@@ -259,16 +254,16 @@ def test_min_dimension_domain():
 
 
 def test_appendix_bound_values():
-    assert appendix_bound(4) == 0.0
-    assert appendix_bound(9) == 1.0
-    assert abs(appendix_bound(2) - (sqrt(2) - 2)) < 1e-12
+    assert verify_lemma_chain(4).sqrt_bound == 0.0
+    assert verify_lemma_chain(9).sqrt_bound == 1.0
+    assert abs(verify_lemma_chain(2).sqrt_bound - (sqrt(2) - 2)) < 1e-12
     with pytest.raises(ValueError):
-        appendix_bound(0)
+        verify_lemma_chain(1)
 
 
 def test_search_values_clear_the_sqrt_bound():
     for n in range(2, 11):
-        assert min_dimension_general(n) >= appendix_bound(n)
+        assert min_dimension_general(n) >= verify_lemma_chain(n).sqrt_bound
 
 
 def test_lemma_chain_holds_everywhere():

@@ -30,13 +30,8 @@ from nlgame import (
     run_game,
     strategy_from_name,
 )
-from nlgame.games import (
-    BroadcastRecord,
-    decode_step,
-    encode_broadcast,
-    fold_runs,
-    sampled_runs,
-)
+from nlgame.games import BroadcastRecord, fold_runs, sampled_runs
+from oracles import decode_step, encode_broadcast
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +160,13 @@ def test_grouping_validation():
         Grouping((frozenset({1}),), 2)  # does not cover
     g = Grouping((frozenset({2}), frozenset(), frozenset({1, 3})), 3)
     assert g.m == 3
-    assert g.group_of(2) == 0
-    assert g.group_of(3) == 2
-    with pytest.raises(ValueError):
-        g.group_of(4)
+
+
+def winning_outputs(instance):
+    """The single-bit output tuples, remaining group silent, that ``allowed`` accepts."""
+    k = len(instance.chosen)
+    tuples = (bits + ("",) for bits in itertools.product("01", repeat=k))
+    return [t for t in tuples if instance.allowed(t)]
 
 
 def test_simple_game_shape():
@@ -186,7 +184,7 @@ def test_simple_game_shape():
     assert first.allowed(("1", "0", ""))
     assert not first.allowed(("1", "1", ""))
     assert not first.allowed(("0", "1", "0"))
-    assert list(first.allowed_outputs()) == [("0", "1", ""), ("1", "0", "")]
+    assert winning_outputs(first) == [("0", "1", ""), ("1", "0", "")]
     with pytest.raises(ValueError):
         make_simple_game(2)
 
@@ -205,9 +203,10 @@ def test_general_game_shape():
     pair = spec.instances[0]
     assert pair.allowed(("0", "1", ""))
     assert not pair.allowed(("0", "", ""))
-    wins = list(pair.allowed_outputs())
-    assert wins == [("0", "1", ""), ("1", "0", "")]
-    assert all(sum(map(int, w[:-1])) % 2 == 1 for w in full.allowed_outputs())
+    assert winning_outputs(pair) == [("0", "1", ""), ("1", "0", "")]
+    wins = winning_outputs(full)
+    assert len(wins) == 2**5
+    assert all(sum(map(int, w[:-1])) % 2 == 1 for w in wins)
     with pytest.raises(ValueError):
         make_general_game(1)
 
@@ -284,8 +283,6 @@ def test_quantum_run_transcript_shape():
     assert steps[0].group_messages and steps[0].group_messages[0].group == 2
     assert steps[1].broadcasts[0].sender == 3
     assert steps[1].broadcasts[0].fixed_length
-    text = result.to_text()
-    assert "won: true" in text and "scope broadcast" in text
 
 
 class _Loiterer:
@@ -510,19 +507,6 @@ def test_enumerate_branches_deterministic_strategy():
     assert branches[0][1] == 1
 
 
-def _leaves(branches):
-    return [
-        (
-            result.won,
-            result.transcript.final_outputs,
-            result.transcript.to_lines(),
-            result.broadcast_bits,
-            prob,
-        )
-        for result, prob in branches
-    ]
-
-
 def _replay_cases():
     games = (("simple", make_simple_game, 3), ("general", make_general_game, 2))
     for game, make, lowest in games:
@@ -540,9 +524,10 @@ def _replay_cases():
 def test_enumerate_branches_matches_the_replay_oracle(make, n, name):
     strategy = strategy_from_name(name, n)
     for instance in make(n).instances:
-        walk = _leaves(enumerate_branches(instance, strategy))
-        assert walk == _leaves(oracles.replay_branches(instance, strategy, run_game))
-        assert walk == _leaves(oracles.forking_tape_branches(instance, strategy, run_game))
+        # a result compares by its verdict and its whole transcript
+        walk = list(enumerate_branches(instance, strategy))
+        assert walk == list(oracles.replay_branches(instance, strategy, run_game))
+        assert walk == list(oracles.forking_tape_branches(instance, strategy, run_game))
 
 
 class _CountingRuns(Strategy):
@@ -624,7 +609,7 @@ def test_enumerate_branches_forks_acts_that_draw_twice():
     for instance in spec.instances:
         walk = list(itertools.islice(enumerate_branches(instance, strategy), 17))
         assert len(walk) == 16
-        assert _leaves(walk) == _leaves(oracles.replay_branches(instance, strategy, run_game))
+        assert walk == list(oracles.replay_branches(instance, strategy, run_game))
     # a chosen player outputs 1 when its genuine draws agree, with
     # probability 1/4 * 3/4 + 3/4 * 1/4 = 3/8, and the pair wins when
     # exactly one of them does: 2 * 3/8 * 5/8
@@ -728,7 +713,6 @@ def test_lazy_instances_match_the_eager_builder(game, make, lowest):
             assert _fields(spec.instances[k]) == ref
             assert _fields(spec.instances[k - size]) == ref
         assert [_fields(i) for i in spec.instances] == list(eager)
-        assert [_fields(i) for i in spec.enumerate()] == list(eager)
         for bad in (size, -size - 1):
             with pytest.raises(IndexError):
                 spec.instances[bad]

@@ -22,7 +22,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = {
     **{
         f"verify-n{n}.json": ["verify", "--n", str(n), "--format", "json"]
-        for n in range(2, 8)
+        # n = 8 is the largest exhaustive replay, n = 9 the first report
+        # built from seeded runs
+        for n in range(2, 10)
     },
     "table.json": ["table", "--format", "json"],
     **{

@@ -20,7 +20,6 @@ from nlgame import (
     SplitMix64,
     StateVector,
     TapeDraws,
-    basis_state,
     make_ghz,
     measure_qubit,
     outcome_probability,
@@ -171,15 +170,29 @@ def test_ghz_frozen_amplitudes():
     assert ghz.dump_lines() == ["000 1 0 1", "111 1 0 1"]
     assert ghz.support == (0, 7)
     assert ghz.norm_squared() == 1
-    assert ghz.amplitude(0) == ExactAmplitude.inv_sqrt2()
+    assert ghz.amplitudes[0] == ExactAmplitude.inv_sqrt2()
+
+
+def basis_state(basis: MeasBasis, bit: int) -> StateVector:
+    """The one-qubit register left by measuring outcome ``bit`` in ``basis``.
+
+    Z is unbiased on |+> and the other bases on |0>, so a tape picks either
+    outcome, and in both starts every overlap is 1/sqrt(2): the renormalized
+    register is the basis vector itself, with no phase.
+    """
+    zero = StateVector(1, [ExactAmplitude.one(), ExactAmplitude.zero()])
+    start = make_ghz(1) if basis is Z else zero
+    outcome, state, p = measure_qubit(start, 1, basis, TapeDraws((bit,)))
+    assert (outcome, p) == (bit, Fraction(1, 2))
+    return state
 
 
 def test_basis_states_are_normalized():
     for basis in MeasBasis:
         for bit in (0, 1):
-            assert basis_state(basis, bit).norm_squared() == 1
-    with pytest.raises(ValueError):
-        basis_state(D, 2)
+            state = basis_state(basis, bit)
+            assert sum(a.abs_squared() for a in state.amplitudes) == 1
+            assert state_syms(state) == list(oracles.basis_vector(basis.value, bit))
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +319,22 @@ def test_support_tracks_nonzero_amplitudes_through_collapse():
             i for i, a in enumerate(state.amplitudes) if not a.is_zero()
         )
         assert state.support == expected
+
+
+def test_repr_reads_the_factored_form_only(monkeypatch):
+    # pytest puts a state's repr in assertion messages, so repr must not
+    # build the 2**n dense view of a large register
+    rng = SplitMix64(3)
+    state = make_ghz(QUBIT_CAP)
+    for qubit in range(1, QUBIT_CAP + 1):
+        _, state, _ = measure_qubit(state, qubit, D, rng)
+
+    def dense_view(self):
+        raise AssertionError("repr built the dense view")
+
+    monkeypatch.setattr(StateVector, "_dense_view", dense_view)
+    assert repr(state) == f"StateVector(num_qubits={QUBIT_CAP}, core=1, measured={QUBIT_CAP})"
+    assert repr(make_ghz(3)) == "StateVector(num_qubits=3, core=2, measured=0)"
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,11 @@ import pytest
 import oracles
 from nlgame import (
     ClassicalAtomStrategy,
-    LabelTable,
     ProtocolViolation,
     QuantumSharedState,
     SplitMix64,
-    StrategyAssignment,
     TapeDraws,
     broadcast_complexity,
-    classical_atom_strategy_assignment,
     classical_label_strategy,
     enumerate_branches,
     general_strategy_forbidden_mass,
@@ -35,7 +32,6 @@ from nlgame import (
     strategy_from_name,
 )
 from nlgame.qsim import MeasBasis
-from nlgame.strategies import best_response_hint_rule
 
 A0 = ClassicalAtomStrategy.CONST0
 A1 = ClassicalAtomStrategy.CONST1
@@ -82,19 +78,22 @@ def test_atom_response_table():
 
 
 def test_best_response_rule_finds_the_separating_hint():
-    atoms = (A0, A1, AB, AN, A0)
-    rule = best_response_hint_rule(atoms)
+    strategy = strategy_from_name("classical-atoms:0,1,b,nb,0", 5)
+    hints = {}
+    for instance in make_simple_game(5).instances:
+        result = run_game(instance, strategy, TapeDraws(()))
+        (hint,) = [r.payload for s in result.transcript.steps for r in s.broadcasts]
+        hints[instance.chosen] = hint
     # copy vs negate: any hint separates them
-    assert atoms[2].respond(rule(3, 4)) != atoms[3].respond(rule(3, 4))
+    assert AB.respond(int(hints[3, 4])) != AN.respond(int(hints[3, 4]))
     # const 0 vs copy: only hint 1 separates
-    assert rule(1, 3) == 1
-    # identical atoms cannot be separated; rule falls back to 0
-    assert rule(1, 5) == 0
+    assert hints[1, 3] == "1"
+    # identical atoms cannot be separated; the hint falls back to 0
+    assert hints[1, 5] == "0"
 
 
 def test_atom_assignment_runs_and_loses_only_on_equal_atoms():
-    atoms = (A0, A1, AB, AN, A0)
-    strategy = classical_atom_strategy_assignment(StrategyAssignment.best_response(atoms))
+    strategy = strategy_from_name("classical-atoms:0,1,b,nb,0", 5)
     spec = make_simple_game(5)
     lost = []
     for instance in spec.instances:
@@ -108,18 +107,14 @@ def test_atom_assignment_runs_and_loses_only_on_equal_atoms():
 
 
 def test_all_same_atoms_lose_everywhere():
-    strategy = classical_atom_strategy_assignment(
-        StrategyAssignment.best_response((A1,) * 5)
-    )
+    strategy = strategy_from_name("classical-atoms:1,1,1,1,1", 5)
     bits, won = broadcast_complexity(make_simple_game(5), strategy, "exhaustive")
     assert (bits, won) == (1, False)
 
 
 def test_atom_assignment_validation():
-    with pytest.raises(ValueError):
-        classical_atom_strategy_assignment(StrategyAssignment.best_response((A0, A1)))
-    with pytest.raises(ValueError):
-        classical_atom_strategy_assignment(StrategyAssignment((A0, A1, AB), None))
+    with pytest.raises(ValueError, match="n >= 3"):
+        strategy_from_name("classical-atoms:0,1", 2)
 
 
 # ---------------------------------------------------------------------------
@@ -127,21 +122,12 @@ def test_atom_assignment_validation():
 
 
 def test_label_table_basics():
-    table = LabelTable.binary(5)
-    assert table.length == 3
-    assert table.label_of(1) == "000"
-    assert table.label_of(5) == "100"
-    assert len(set(table.labels)) == 5
-    assert LabelTable.binary(2).length == 1
-
-
-def test_label_table_validation():
-    with pytest.raises(ValueError):
-        LabelTable(())
-    with pytest.raises(ValueError):
-        LabelTable(("0", "10"))
-    with pytest.raises(ValueError):
-        LabelTable(("01", "01"))
+    assert classical_label_strategy(5).labels == ("000", "001", "010", "011", "100")
+    assert classical_label_strategy(2).labels == ("0", "1")
+    # the leader broadcasts the lowest chosen player's label
+    instance = make_general_game(5).instances[-1]  # C = {4, 5}
+    result = run_game(instance, classical_label_strategy(5), TapeDraws(()))
+    assert [r.payload for s in result.transcript.steps for r in s.broadcasts] == ["011"]
 
 
 def test_labeling_strategy_wins_general_game_at_log_n_bits():
@@ -310,7 +296,7 @@ def test_strategy_from_name_resolves_all_families():
     assert strategy_from_name("classical-label", 4).name == "classical-label"
     strategy = strategy_from_name("classical-atoms:0,1,b,nb", 4)
     assert strategy.name == "classical-atoms"
-    assert strategy.assignment.atoms == (A0, A1, AB, AN)
+    assert strategy.atoms == (A0, A1, AB, AN)
 
 
 def test_strategy_from_name_errors():
