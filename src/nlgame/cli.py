@@ -624,7 +624,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             trials=None if args.exhaustive else args.trials,
         )
     if args.command == "verify":
-        return ExperimentConfig(**common, n=args.n, mode="verify")
+        return ExperimentConfig(**common, n=args.n)
     if args.command == "table":
         return ExperimentConfig(**common, n_range=_parse_range(args.n))
     return ExperimentConfig(**common, n=args.n, max_l=args.max_l, family_path=args.family)

@@ -6,6 +6,14 @@ is represented without rounding, and outcome probabilities are exact
 ``fractions.Fraction`` values.  "This outcome never happens" is a decidable
 statement here, not a tolerance judgement.
 
+One kernel does the exact work.  ``_project`` projects the register's core
+onto a joint outcome, summing terms with ``_add_term`` (the one place that
+aligns sqrt(2) scales and rejects a sum outside the exact set), and
+``_mass`` weighs the result.  ``outcome_probability`` weighs one projection;
+``measure_qubit`` projects onto both outcomes of its qubit, draws one and
+renormalizes it.  The kernels work on plain integer triples, and
+:class:`ExactAmplitude` is only the canonical value they hand out.
+
 Conventions: qubits are numbered 1..n and qubit 1 is the most significant
 bit of an amplitude index, so index ``0b10`` of a 2-qubit register means
 qubit 1 is |1> and qubit 2 is |0>.  No floating-point arithmetic occurs in
@@ -16,7 +24,6 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Protocol, Sequence
@@ -27,7 +34,6 @@ __all__ = [
     "DrawSource",
     "ExactAmplitude",
     "MeasBasis",
-    "MeasurementRecord",
     "StateVector",
     "make_ghz",
     "measure_qubit",
@@ -55,7 +61,9 @@ class ExactAmplitude:
     Instances are kept in canonical form: while both integers are even and
     the scale is at least 2, everything is divided by 2; an exact zero is
     stored at scale 0.  Canonical forms are unique, so equality and hashing
-    are structural.
+    are structural.  This is a value type with no arithmetic: the kernels
+    compute on ``(re, im, scale)`` integers and build one of these per
+    amplitude they return.
     """
 
     __slots__ = ("_re", "_im", "_scale")
@@ -86,94 +94,11 @@ class ExactAmplitude:
     def sqrt2_scale(self) -> int:
         return self._scale
 
-    @classmethod
-    def zero(cls) -> "ExactAmplitude":
-        return cls(0)
-
-    @classmethod
-    def one(cls) -> "ExactAmplitude":
-        return cls(1)
-
-    @classmethod
-    def inv_sqrt2(cls, power: int = 1) -> "ExactAmplitude":
-        """1 / sqrt(2)**power."""
-        return cls(1, 0, power)
-
     def is_zero(self) -> bool:
         return self._re == 0 and self._im == 0
 
-    def conjugate(self) -> "ExactAmplitude":
-        return ExactAmplitude(self._re, -self._im, self._scale)
-
-    def abs_squared(self) -> Fraction:
-        return Fraction(self._re * self._re + self._im * self._im, 1 << self._scale)
-
-    def scaled_by_sqrt2(self, power: int) -> "ExactAmplitude":
-        """Multiply by sqrt(2)**power (power may be negative)."""
-        if power <= 0:
-            return ExactAmplitude(self._re, self._im, self._scale - power)
-        if self._scale >= power:
-            return ExactAmplitude(self._re, self._im, self._scale - power)
-        k = power - self._scale
-        return ExactAmplitude(self._re << k, self._im << k, k)
-
-    @staticmethod
-    def _coerce(value) -> "ExactAmplitude | None":
-        if isinstance(value, ExactAmplitude):
-            return value
-        if isinstance(value, int):
-            return ExactAmplitude(value)
-        return None
-
-    def __add__(self, other) -> "ExactAmplitude":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        a, b = (self, other) if self._scale >= other._scale else (other, self)
-        d = a._scale - b._scale
-        if d % 2:
-            raise ExactnessError(
-                "sum of amplitudes with odd sqrt2-scale mismatch is not representable"
-            )
-        f = 1 << (d // 2)
-        return ExactAmplitude(a._re + b._re * f, a._im + b._im * f, a._scale)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "ExactAmplitude":
-        return ExactAmplitude(-self._re, -self._im, self._scale)
-
-    def __sub__(self, other) -> "ExactAmplitude":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "ExactAmplitude":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other) -> "ExactAmplitude":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return ExactAmplitude(
-            self._re * other._re - self._im * other._im,
-            self._re * other._im + self._im * other._re,
-            self._scale + other._scale,
-        )
-
-    __rmul__ = __mul__
-
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, ExactAmplitude):
             return NotImplemented
         return (
             self._re == other._re
@@ -215,21 +140,7 @@ _CONJUGATE_COMPONENTS = {
 }
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    qubit_index: int
-    basis: MeasBasis
-    outcome: int
-
-
 _ZERO = ExactAmplitude(0)
-
-
-def _basis_amplitudes(
-    basis: MeasBasis, bit: int
-) -> tuple[ExactAmplitude, ExactAmplitude]:
-    (r0, i0), (r1, i1), s = _BASIS_COMPONENTS[(basis, bit)]
-    return ExactAmplitude(r0, i0, s), ExactAmplitude(r1, i1, s)
 
 
 class StateVector:
@@ -285,21 +196,21 @@ class StateVector:
         # (amplitudes, support): every core entry times every nonzero
         # component of every factor, placed at the factor's bit
         if self._dense is None:
-            entries = list(self._core.items())
+            entries = [(idx, a._re, a._im, a._scale) for idx, a in self._core.items()]
             for qubit, (basis, outcome) in self._factors.items():
                 shift = self._n - qubit
-                vector = _basis_amplitudes(basis, outcome)
+                *vector, s = _BASIS_COMPONENTS[basis, outcome]
                 entries = [
-                    (idx | v << shift, a * c)
-                    for idx, a in entries
-                    for v, c in enumerate(vector)
-                    if not c.is_zero()
+                    (idx | v << shift, re * cre - im * cim, re * cim + im * cre, sc + s)
+                    for idx, re, im, sc in entries
+                    for v, (cre, cim) in enumerate(vector)
+                    if cre or cim
                 ]
             entries.sort()
             amps = [_ZERO] * (1 << self._n)
-            for idx, a in entries:
-                amps[idx] = a
-            self._dense = (tuple(amps), tuple(idx for idx, _ in entries))
+            for idx, re, im, sc in entries:
+                amps[idx] = ExactAmplitude(re, im, sc)
+            self._dense = (tuple(amps), tuple(entry[0] for entry in entries))
         return self._dense
 
     @property
@@ -355,7 +266,7 @@ def make_ghz(n: int, *, cap: int = QUBIT_CAP) -> StateVector:
     """(|0...0> + |1...1>) / sqrt(2) on n qubits; n = 1 gives (|0> + |1>) / sqrt(2)."""
     if n < 1 or n > cap:
         raise ValueError(f"GHZ register size must be in [1, {cap}], got {n}")
-    half = ExactAmplitude.inv_sqrt2()
+    half = ExactAmplitude(1, 0, 1)
     return StateVector._factored(n, {0: half, (1 << n) - 1: half}, {})
 
 
@@ -426,6 +337,50 @@ def _overlap(
     return re, im, s + t
 
 
+def _project(
+    state: StateVector, assignment: Iterable[tuple[int, MeasBasis, int]]
+) -> dict[int, list]:
+    """The core projected onto a joint outcome, as :func:`_add_term` entries.
+
+    ``assignment`` lists ``(qubit_index, basis, outcome_bit)`` with each
+    qubit listed at most once.  Each entry is keyed by its core index with
+    the listed qubits' bits cleared, so unlisted qubits keep their own
+    entries and the squared norm of the result is their marginal.  A listed
+    qubit that was already measured contributes the overlap of the listed
+    basis vector with its factor.
+    """
+    n = state._n
+    held = state._factors
+    factors = []
+    listed = 0
+    for qubit, basis, bit in assignment:
+        if qubit < 1 or qubit > n:
+            raise ValueError(f"qubit index must be in [1, {n}], got {qubit}")
+        if bit not in (0, 1):
+            raise ValueError("outcome bit must be 0 or 1")
+        pos = n - qubit
+        if listed >> pos & 1:
+            raise ValueError(f"qubit {qubit} listed twice in assignment")
+        listed |= 1 << pos
+        if held and qubit in held:
+            # the core bit of a measured qubit is 0, so only slot 0 is read
+            factors.append((pos, (_overlap(basis, bit, *held[qubit]), (0, 0, 0))))
+        else:
+            factors.append((pos, _CONJUGATE_COMPONENTS[basis][bit]))
+
+    acc: dict[int, list] = {}
+    for idx, a in state._core.items():
+        re, im, sc = a._re, a._im, a._scale
+        for pos, weights in factors:
+            wre, wim, ws = weights[idx >> pos & 1]
+            if not (wre or wim):
+                break
+            re, im, sc = re * wre - im * wim, re * wim + im * wre, sc + ws
+        else:
+            _add_term(acc, idx & ~listed, re, im, sc)
+    return acc
+
+
 def measure_qubit(
     state: StateVector,
     qubit_index: int,
@@ -443,31 +398,14 @@ def measure_qubit(
     renormalization; anything else raises :class:`ExactnessError`).
     Branch masses stay integers over a power of two until the draw.
     """
-    n = state.num_qubits
-    if qubit_index < 1 or qubit_index > n:
-        raise ValueError(f"qubit index must be in [1, {n}], got {qubit_index}")
-    shift = n - qubit_index
-    clear = ~(1 << shift)
-    held = state._factors.get(qubit_index)
-
-    # weights[b][v] multiplies a core entry whose bit for this qubit is v
-    # into outcome b's projection: <b|v> for a core qubit, and for a
-    # measured one (whose core bit is cleared) the overlap with its factor
-    if held is None:
-        weights = _CONJUGATE_COMPONENTS[basis]
-    else:
-        weights = [(_overlap(basis, b, *held),) for b in (0, 1)]
-    projected: tuple[dict, dict] = ({}, {})
-    for idx, a in state._core.items():
-        are, aim, asc = a._re, a._im, a._scale
-        v = (idx >> shift) & 1
-        key = idx & clear
-        for acc, w in zip(projected, weights):
-            wre, wim, wsc = w[v]
-            _add_term(acc, key, wre * are - wim * aim, wre * aim + wim * are, wsc + asc)
-
-    masses = (_mass(projected[0].values()), _mass(projected[1].values()))
-    (num0, top0), (num1, top1) = masses
+    projected = (
+        _project(state, ((qubit_index, basis, 0),)),
+        _project(state, ((qubit_index, basis, 1),)),
+    )
+    masses = (num0, top0), (num1, top1) = (
+        _mass(projected[0].values()),
+        _mass(projected[1].values()),
+    )
     top = max(top0, top1)
     if (num0 << (top - top0)) + (num1 << (top - top1)) != 1 << top:
         raise ExactnessError("measurement branches do not sum to 1")
@@ -477,20 +415,15 @@ def measure_qubit(
     # only the drawn branch is renormalized, so only it must be 2**-t
     if not num or num & (num - 1):
         raise ExactnessError(f"renormalization needs a power-of-two probability, got {p}")
+    # each entry's own mass is at most the branch's 2**-t, so t <= its scale
     t = top - num.bit_length() + 1
-
-    core = {}
-    for key, (re, im, sc) in projected[outcome].items():
-        if re or im:
-            sc -= t
-            # multiplying by the sqrt(2) overshoot keeps integers exact
-            core[key] = (
-                ExactAmplitude(re, im, sc)
-                if sc >= 0
-                else ExactAmplitude(re << -sc, im << -sc, -sc)
-            )
+    core = {
+        key: ExactAmplitude(re, im, sc - t)
+        for key, (re, im, sc) in projected[outcome].items()
+        if re or im
+    }
     factors = {**state._factors, qubit_index: (basis, outcome)}
-    return outcome, StateVector._factored(n, core, factors), p
+    return outcome, StateVector._factored(state._n, core, factors), p
 
 
 def outcome_probability(
@@ -505,44 +438,4 @@ def outcome_probability(
     outcomes.  A listed qubit that was already measured contributes the
     overlap of the listed basis vector with its factor.
     """
-    n = state.num_qubits
-    held = state._factors
-    factors = []
-    listed = 0
-    for qubit, basis, bit in assignment:
-        if qubit < 1 or qubit > n:
-            raise ValueError(f"qubit index must be in [1, {n}], got {qubit}")
-        if bit not in (0, 1):
-            raise ValueError("outcome bit must be 0 or 1")
-        pos = n - qubit
-        if listed & (1 << pos):
-            raise ValueError(f"qubit {qubit} listed twice in assignment")
-        listed |= 1 << pos
-        if held and qubit in held:
-            # the core bit of a measured qubit is 0, so only slot 0 is read
-            ore, oim, osc = _overlap(basis, bit, *held[qubit])
-            factors.append((pos, ore, oim, 0, 0, osc))
-            continue
-        # probability uses <v|state>, so the components are conjugated
-        (r0, i0, s), (r1, i1, _) = _CONJUGATE_COMPONENTS[basis][bit]
-        factors.append((pos, r0, i0, r1, i1, s))
-
-    keep = ~listed & ((1 << n) - 1)
-    acc: dict[int, list] = {}
-    for idx, a in state._core.items():
-        fre, fim, fsc = a.re_int, a.im_int, a.sqrt2_scale
-        dead = False
-        for pos, r0, i0, r1, i1, s in factors:
-            if (idx >> pos) & 1:
-                cre, cim = r1, i1
-            else:
-                cre, cim = r0, i0
-            if cre == 0 and cim == 0:
-                dead = True
-                break
-            fre, fim = fre * cre - fim * cim, fre * cim + fim * cre
-            fsc += s
-        if dead:
-            continue
-        _add_term(acc, idx & keep, fre, fim, fsc)
-    return _fraction(*_mass(acc.values()))
+    return _fraction(*_mass(_project(state, assignment).values()))

@@ -28,7 +28,6 @@ from .games import Action, GameInstance, Inbox, ProtocolViolation, Strategy
 from .qsim import (
     QUBIT_CAP,
     MeasBasis,
-    MeasurementRecord,
     StateVector,
     make_ghz,
     measure_qubit,
@@ -93,11 +92,6 @@ class QuantumSharedState:
     @classmethod
     def ghz(cls, n: int, draws) -> "QuantumSharedState":
         return cls(make_ghz(n), draws)
-
-    @property
-    def records(self) -> list[MeasurementRecord]:
-        """Each measured qubit's record, in measurement order, read from the register."""
-        return [MeasurementRecord(q, *held) for q, held in self.state.measured.items()]
 
     def measure(self, qubit: int, basis: MeasBasis) -> int:
         if qubit in self.state.measured:
@@ -180,26 +174,25 @@ class _Measurer:
 
 class _OutcomeReporter:
     """Remaining player: measures diagonally and reports in-group; the
-    leader then pools the group's outcomes and broadcasts their parity."""
+    leader then pools the group's outcomes and broadcasts their parity.
+    Its own outcome is read back from the register, which records it."""
 
-    __slots__ = ("_index", "_shared", "_leader", "_own")
+    __slots__ = ("_index", "_shared", "_leader")
 
     def __init__(self, index: int, shared: QuantumSharedState, leader: bool) -> None:
         self._index = index
         self._shared = shared
         self._leader = leader
-        self._own = 0
 
     def __deepcopy__(self, memo) -> "_OutcomeReporter":
-        twin = _OutcomeReporter(self._index, copy.deepcopy(self._shared, memo), self._leader)
-        twin._own = self._own
-        return twin
+        return _OutcomeReporter(self._index, copy.deepcopy(self._shared, memo), self._leader)
 
     def act(self, inbox: Inbox) -> Action:
         if inbox.step == 1:
-            self._own = self._shared.measure(self._index, MeasBasis.DIAGONAL)
-            return Action(group_message=str(self._own), halt=not self._leader)
-        ones = self._own + sum(int(payload) for _, payload in inbox.group_messages)
+            own = self._shared.measure(self._index, MeasBasis.DIAGONAL)
+            return Action(group_message=str(own), halt=not self._leader)
+        own = self._shared.state.measured[self._index][1]
+        ones = own + sum(int(payload) for _, payload in inbox.group_messages)
         return Action(
             broadcast=str(ones % 2), broadcast_fixed_length=True, halt=True
         )

@@ -24,6 +24,7 @@ from nlgame import (
     measure_qubit,
     outcome_probability,
 )
+from nlgame.qsim import _add_term
 
 D = MeasBasis.DIAGONAL
 C = MeasBasis.CIRCULAR
@@ -39,7 +40,7 @@ def state_syms(state: StateVector) -> list[oracles.Sym]:
 
 
 # ---------------------------------------------------------------------------
-# ExactAmplitude
+# ExactAmplitude, and the kernel's sums of (re, im, scale) terms
 
 
 def test_canonical_form_divides_out_common_factors():
@@ -52,7 +53,7 @@ def test_canonical_form_divides_out_common_factors():
 def test_zero_is_stored_at_scale_zero():
     z = ExactAmplitude(0, 0, 7)
     assert z.is_zero() and z.sqrt2_scale == 0
-    assert z == ExactAmplitude.zero()
+    assert z == ExactAmplitude(0)
 
 
 def test_negative_scale_rejected():
@@ -60,88 +61,42 @@ def test_negative_scale_rejected():
         ExactAmplitude(1, 0, -1)
 
 
+def summed(*terms) -> ExactAmplitude:
+    """The canonical value of (re, im, scale) terms added by the kernel."""
+    acc: dict = {}
+    for term in terms:
+        _add_term(acc, 0, *term)
+    return ExactAmplitude(*acc.get(0, (0, 0, 0)))
+
+
 def test_addition_requires_matching_scale_parity():
-    with pytest.raises(ExactnessError):
-        ExactAmplitude(1, 0, 0) + ExactAmplitude(1, 0, 1)
-    # zero never participates in the parity check
-    assert ExactAmplitude(0) + ExactAmplitude(1, 0, 3) == ExactAmplitude(1, 0, 3)
-
-
-def test_arithmetic_examples():
-    half = ExactAmplitude(1, 0, 2)  # 1/2
-    i_half = ExactAmplitude(0, 1, 2)
-    assert half + half == ExactAmplitude(1)
-    assert half - half == ExactAmplitude.zero()
-    assert half * i_half == ExactAmplitude(0, 1, 4)
-    assert i_half * i_half == ExactAmplitude(-1, 0, 4)
-    assert 2 * half == ExactAmplitude(1)
-    assert half.conjugate() == half
-    assert i_half.conjugate() == ExactAmplitude(0, -1, 2)
-
-
-def test_scaled_by_sqrt2_overshoot():
-    # multiplying 1/sqrt2 by sqrt2**3 overshoots the stored scale; the
-    # result 2 comes out via shifted integers, not a fractional scale
-    a = ExactAmplitude.inv_sqrt2()
-    assert a.scaled_by_sqrt2(3) == ExactAmplitude(2)
-    assert a.scaled_by_sqrt2(2) == ExactAmplitude(2, 0, 1)  # sqrt2 itself
-    assert a.scaled_by_sqrt2(1) == ExactAmplitude(1)
-    assert a.scaled_by_sqrt2(-2) == ExactAmplitude(1, 0, 3)
+    with pytest.raises(ExactnessError, match="mixed sqrt2-scale parity"):
+        summed((1, 0, 0), (1, 0, 1))
+    # zero never participates in the parity check, whether it comes first
+    # or is a sum that cancelled
+    assert summed((0, 0, 0), (1, 0, 3)) == ExactAmplitude(1, 0, 3)
+    assert summed((1, 0, 2), (-1, 0, 2), (1, 0, 3)) == ExactAmplitude(1, 0, 3)
 
 
 ints = st.integers(min_value=-40, max_value=40)
-scales = st.integers(min_value=0, max_value=8)
-amps_any = st.builds(ExactAmplitude, ints, ints, scales)
 
 
 @st.composite
-def amp_triples_common_parity(draw):
+def terms_common_parity(draw):
     parity = draw(st.integers(min_value=0, max_value=1))
-    out = []
-    for _ in range(3):
-        k = draw(st.integers(min_value=0, max_value=3))
-        out.append(draw(st.builds(ExactAmplitude, ints, ints, st.just(parity + 2 * k))))
-    return tuple(out)
+    scales = st.integers(min_value=0, max_value=3).map(lambda k: parity + 2 * k)
+    return tuple(draw(st.tuples(ints, ints, scales)) for _ in range(3))
 
 
-@given(amp_triples_common_parity())
+@given(terms_common_parity())
 def test_addition_ring_laws_on_common_parity(triple):
     a, b, c = triple
-    assert a + b == b + a
-    assert (a + b) + c == a + (b + c)
-    assert a + ExactAmplitude.zero() == a
-    assert a - a == ExactAmplitude.zero()
-
-
-@given(amps_any, amps_any, amps_any)
-def test_multiplication_laws(a, b, c):
-    assert a * b == b * a
-    assert (a * b) * c == a * (b * c)
-    assert a * ExactAmplitude.one() == a
-    assert (a * b).conjugate() == a.conjugate() * b.conjugate()
-    assert (a * b).abs_squared() == a.abs_squared() * b.abs_squared()
-
-
-@given(amp_triples_common_parity(), amps_any)
-def test_distributivity(triple, a):
-    b, c, _ = triple
-    assert a * (b + c) == a * b + a * c
-
-
-@given(amps_any)
-def test_sym_oracle_agrees_on_products_and_norms(a):
-    assert a.abs_squared() == (to_sym(a).conj() * to_sym(a)).rational()
-    assert to_sym(a * a) == to_sym(a) * to_sym(a)
-
-
-@given(amps_any, st.integers(min_value=-6, max_value=6))
-def test_scaled_by_sqrt2_roundtrip(a, k):
-    scaled = a.scaled_by_sqrt2(k)
-    if k >= 0:
-        assert scaled.scaled_by_sqrt2(-k) == a
-    else:
-        assert a == scaled.scaled_by_sqrt2(-k)
-    assert scaled.abs_squared() == a.abs_squared() * Fraction(2) ** k
+    assert summed(a, b) == summed(b, a)
+    assert summed(a, b, c) == summed(c, b, a) == summed(b, c, a)
+    assert summed(a, (0, 0, 0)) == ExactAmplitude(*a)
+    assert summed(a, (-a[0], -a[1], a[2])) == ExactAmplitude(0)
+    a_sym, b_sym, c_sym = (oracles.from_scaled_ints(*t) for t in triple)
+    assert to_sym(summed(a, b, c)) == a_sym + b_sym + c_sym
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +115,7 @@ def test_qubit_cap_and_count_validation():
 def test_norm_validation():
     with pytest.raises(ValueError):
         StateVector(1, [ExactAmplitude(1), ExactAmplitude(1)])
-    sv = StateVector(1, [ExactAmplitude(1), ExactAmplitude.zero()])
+    sv = StateVector(1, [ExactAmplitude(1), ExactAmplitude(0)])
     assert sv.norm_squared() == 1
     assert sv.support == (0,)
 
@@ -170,7 +125,7 @@ def test_ghz_frozen_amplitudes():
     assert ghz.dump_lines() == ["000 1 0 1", "111 1 0 1"]
     assert ghz.support == (0, 7)
     assert ghz.norm_squared() == 1
-    assert ghz.amplitudes[0] == ExactAmplitude.inv_sqrt2()
+    assert ghz.amplitudes[0] == ExactAmplitude(1, 0, 1)
 
 
 def basis_state(basis: MeasBasis, bit: int) -> StateVector:
@@ -180,7 +135,7 @@ def basis_state(basis: MeasBasis, bit: int) -> StateVector:
     outcome, and in both starts every overlap is 1/sqrt(2): the renormalized
     register is the basis vector itself, with no phase.
     """
-    zero = StateVector(1, [ExactAmplitude.one(), ExactAmplitude.zero()])
+    zero = StateVector(1, [ExactAmplitude(1), ExactAmplitude(0)])
     start = make_ghz(1) if basis is Z else zero
     outcome, state, p = measure_qubit(start, 1, basis, TapeDraws((bit,)))
     assert (outcome, p) == (bit, Fraction(1, 2))
@@ -191,8 +146,8 @@ def test_basis_states_are_normalized():
     for basis in MeasBasis:
         for bit in (0, 1):
             state = basis_state(basis, bit)
-            assert sum(a.abs_squared() for a in state.amplitudes) == 1
             assert state_syms(state) == list(oracles.basis_vector(basis.value, bit))
+            assert oracles.norm_squared(state_syms(state)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +217,7 @@ def test_non_power_of_two_probability_raises():
             ExactAmplitude(1, 0, 2),
             ExactAmplitude(1, 1, 2),
             ExactAmplitude(1, 0, 2),
-            ExactAmplitude.zero(),
+            ExactAmplitude(0),
         ],
     )
     with pytest.raises(ExactnessError):
@@ -288,11 +243,20 @@ def test_branches_that_do_not_sum_to_one_raise():
     with pytest.raises(ExactnessError, match="measurement branches do not sum to 1"):
         measure_qubit(state, 1, Z, TapeDraws((0,)))
     # a Z branch of mass 1/2 on its own, whichever outcome is drawn
-    half = StateVector(
-        1, [ExactAmplitude.inv_sqrt2(), ExactAmplitude.zero()], validate_norm=False
-    )
+    half = StateVector(1, [ExactAmplitude(1, 0, 1), ExactAmplitude(0)], validate_norm=False)
     with pytest.raises(ExactnessError, match="measurement branches do not sum to 1"):
         measure_qubit(half, 1, Z, TapeDraws((0,)))
+
+
+def test_mixed_scale_parity_raises_from_both_kernels():
+    # [1/sqrt2, 1/2, 1/2, 0] has norm 1, but projecting qubit 2 diagonally
+    # sums 1/2 (from 1/sqrt2 * 1/sqrt2) with 1/(2 sqrt2): odd scale mismatch
+    amps = [(1, 0, 1), (1, 0, 2), (1, 0, 2), (0, 0, 0)]
+    state = StateVector(2, [ExactAmplitude(*a) for a in amps])
+    with pytest.raises(ExactnessError, match="mixed sqrt2-scale parity"):
+        outcome_probability(state, [(2, D, 0)])
+    with pytest.raises(ExactnessError, match="mixed sqrt2-scale parity"):
+        measure_qubit(state, 2, D, TapeDraws((0,)))
 
 
 def test_collapse_matches_reference_oracle():
@@ -426,9 +390,12 @@ def random_dense_state(rng, n: int) -> StateVector:
     if len(entangled) < 2:
         entangled = []
     flips = {q: rng.randint(0, 1) for q in entangled}
-    phase = ExactAmplitude(*[(1, 0), (0, 1), (-1, 0), (0, -1)][rng.randrange(4)], 1)
+    phase = (*[(1, 0), (0, 1), (-1, 0), (0, -1)][rng.randrange(4)], 1)
     vectors = {
-        q: basis_state(rng.choice(list(MeasBasis)), rng.randint(0, 1)).amplitudes
+        q: [
+            (a.re_int, a.im_int, a.sqrt2_scale)
+            for a in basis_state(rng.choice(list(MeasBasis)), rng.randint(0, 1)).amplitudes
+        ]
         for q in qubits
         if q not in entangled
     }
@@ -436,16 +403,17 @@ def random_dense_state(rng, n: int) -> StateVector:
     for idx in range(1 << n):
         bits = {q: (idx >> (n - q)) & 1 for q in qubits}
         if not entangled:
-            a = ExactAmplitude.one()
+            re, im, scale = 1, 0, 0
         elif all(bits[q] == flips[q] for q in entangled):
-            a = ExactAmplitude.inv_sqrt2()
+            re, im, scale = 1, 0, 1
         elif all(bits[q] != flips[q] for q in entangled):
-            a = phase
+            re, im, scale = phase
         else:
-            a = ExactAmplitude.zero()
+            re, im, scale = 0, 0, 0
         for q, vector in vectors.items():
-            a = a * vector[bits[q]]
-        amps.append(a)
+            vre, vim, vscale = vector[bits[q]]
+            re, im, scale = re * vre - im * vim, re * vim + im * vre, scale + vscale
+        amps.append(ExactAmplitude(re, im, scale))
     return StateVector(n, amps)  # validates the norm
 
 

@@ -252,7 +252,7 @@ def test_shared_state_forbids_double_measurement():
     shared.measure(2, MeasBasis.DIAGONAL)
     with pytest.raises(ProtocolViolation):
         shared.measure(2, MeasBasis.CIRCULAR)
-    assert [r.qubit_index for r in shared.records] == [2]
+    assert list(shared.state.measured) == [2]
 
 
 def test_shared_state_records_every_qubit_once_in_measurement_order(monkeypatch):
@@ -278,12 +278,12 @@ def test_shared_state_records_every_qubit_once_in_measurement_order(monkeypatch)
         result = run_game(instance, quantum_simple_strategy(5), SplitMix64(seed))
         (shared,) = made
         rest = [q for q in range(1, 6) if q not in instance.chosen]
-        records = shared.records
+        measured = shared.state.measured
         # the remaining players measure in step 1, the chosen pair in step 3
-        assert [r.qubit_index for r in records] == rest + list(instance.chosen)
-        assert [(r.qubit_index, r.basis) for r in records] == order
+        assert list(measured) == rest + list(instance.chosen)
+        assert [(q, basis) for q, (basis, _) in measured.items()] == order
         outputs = result.transcript.final_outputs[:2]
-        assert tuple(str(r.outcome) for r in records[3:]) == outputs
+        assert tuple(str(bit) for _, bit in list(measured.values())[3:]) == outputs
 
 
 # ---------------------------------------------------------------------------
