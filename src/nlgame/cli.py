@@ -18,10 +18,13 @@ from csv import writer as csv_writer
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import partial
 from io import StringIO
+from itertools import islice
 from json import dumps
 from math import log2, sqrt
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__
 from .bounds import (
@@ -40,6 +43,7 @@ from .games import (
     StepLimitExceeded,
     broadcast_complexity,
     check_strategy_fits,
+    enumerate_branches,
     fold_runs,
     make_general_game,
     make_simple_game,
@@ -350,29 +354,33 @@ _CERTAINTY = {
 }
 
 
-def _check_quantum(game: str, n: int, seed: int) -> tuple[bool, str]:
+def _check_quantum(game: str, n: int, seed: int, fold: SimpleNamespace) -> tuple[bool, str]:
     bad_text, pass_text, runs_text, min_bits = _CERTAINTY[game]
     # looked up per call, so a wrapper bound over either name sees the calls
     mass = simple_strategy_losing_mass if game == "simple" else general_strategy_forbidden_mass
     spec = _build_spec(game, n)
     strategy = strategy_from_name(_default_strategy(game), n)
-    bad = [inst.chosen for inst in spec.instances if mass(n, inst.chosen) != 0]
-    if bad:
-        return False, bad_text.format(bad[:3])
-    if n <= _EXHAUSTIVE_RUNS:
-        runs, how = None, "all branches"
-    else:
-        reps = _SAMPLED_RUNS_PER_INSTANCE
+    start, fold.size = fold.size, spec.instances.size
+    fresh = islice(spec.instances, start, None)
+    fold.bad += [inst.chosen for inst in fresh if mass(n, inst.chosen) != 0]
+    if fold.bad:
+        return False, bad_text.format(fold.bad[:3])
+    reps = _SAMPLED_RUNS_PER_INSTANCE
 
-        def runs(instance, index):
-            for rep in range(reps):
-                rng = SplitMix64.stream(seed, index, rep)
-                yield run_game(instance, strategy, rng), Fraction(1, reps)
+    def runs(instance, index):
+        if index < start:  # an earlier check of this call played it
+            return ()
+        if n <= _EXHAUSTIVE_RUNS:
+            return enumerate_branches(instance, strategy)
+        rngs = (SplitMix64.stream(seed, index, rep) for rep in range(reps))
+        return ((run_game(instance, strategy, rng), Fraction(1, reps)) for rng in rngs)
 
-        how = f"{reps} seeded runs per instance"
+    how = "all branches" if n <= _EXHAUSTIVE_RUNS else f"{reps} seeded runs per instance"
     _, bits, all_won = fold_runs(spec, strategy, runs)
-    if not (all_won and min_bits <= min(bits) and max(bits) <= 1):
-        return False, runs_text.format(max(bits))
+    fold.bits |= bits
+    fold.all_won &= all_won
+    if not (fold.all_won and min_bits <= min(fold.bits) and max(fold.bits) <= 1):
+        return False, runs_text.format(max(fold.bits))
     return True, pass_text.format(spec.instances.size, how)
 
 
@@ -422,14 +430,14 @@ def _check_lemma_chain(n: int) -> tuple[bool, str, dict]:
     ), data
 
 
-# (name, lo, hi, runner(n, seed)): each check runs for lo <= n <= hi
+# (name, lo, hi, runner(n, seed, fold)): each check runs for lo <= n <= hi
 _VERIFY_CHECKS = (
-    ("simple-quantum-certainty", 3, 12, lambda n, seed: _check_quantum("simple", n, seed)),
-    ("general-quantum-certainty", 2, 12, lambda n, seed: _check_quantum("general", n, seed)),
-    ("classical-min-loss-formula", 5, 12, lambda n, seed: _check_min_loss(n)),
-    ("simple-transcript-lower-bound", 2, 16, lambda n, seed: _check_transcripts(n)),
-    ("labeling-universality", 2, 10, lambda n, seed: _check_labeling(n)),
-    ("gf2-lemma-chain", 2, 10, lambda n, seed: _check_lemma_chain(n)),
+    ("simple-quantum-certainty", 3, 12, partial(_check_quantum, "simple")),
+    ("general-quantum-certainty", 2, 12, partial(_check_quantum, "general")),
+    ("classical-min-loss-formula", 5, 12, lambda n, *_: _check_min_loss(n)),
+    ("simple-transcript-lower-bound", 2, 16, lambda n, *_: _check_transcripts(n)),
+    ("labeling-universality", 2, 10, lambda n, *_: _check_labeling(n)),
+    ("gf2-lemma-chain", 2, 10, lambda n, *_: _check_lemma_chain(n)),
 )
 
 
@@ -442,13 +450,18 @@ def cmd_verify(config: ExperimentConfig) -> Report:
         raise UsageError(f"verify defines no check at n = {n}; use {lo} <= n <= {hi}")
     checks: list[dict] = []
     results: dict = {"n": n}
+    # the certainty checks' findings (nonzero-mass chosen sets, broadcast bit
+    # counts, whether every run won) on the parity game's first ``size``
+    # instances; the pair game is its leading |C| = 2 slice, so the parity
+    # check goes on where the pair check stopped
+    fold = SimpleNamespace(size=0, bad=[], bits=set(), all_won=True)
     for name, lo, hi, runner in _VERIFY_CHECKS:
         if not lo <= n <= hi:
             checks.append(
                 {"name": name, "status": "skipped", "detail": f"defined for {lo} <= n <= {hi}"}
             )
             continue
-        outcome = runner(n, config.seed)
+        outcome = runner(n, config.seed, fold)
         passed, detail = outcome[0], outcome[1]
         if len(outcome) > 2:
             results.update(outcome[2])

@@ -26,7 +26,6 @@ auxiliary input; the chosen players learn nothing beyond their query.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import operator
 from collections.abc import Sequence
@@ -389,11 +388,12 @@ class Strategy:
     def make_players(self, instance: GameInstance, draws) -> list[Player]:
         """One player per seat; players draw from ``draws``, and only in ``act``.
 
-        :func:`enumerate_branches` forks a run at its draws, so a seating
-        must satisfy two conditions.  ``copy.deepcopy`` of the list, with
-        ``draws`` mapped to another source in the memo, gives an equivalent
-        seating that draws from that source.  An act that draws changes no
-        state before its first draw.
+        :func:`enumerate_branches` forks a run at its draws.  It copies the
+        seating if every player has ``fork(twins)``, else replays from the
+        root.  ``twins`` maps ``draws`` to the copy's source; ``fork``
+        returns an equivalent player on that source, keeping in ``twins``
+        the one twin of each object players share.  In a copied seating an
+        act changes no state before its first draw.
         """
         raise NotImplementedError
 
@@ -516,7 +516,8 @@ class _Run:
         twin.steps = self.steps[:]
         twin.broadcasts = self.broadcasts[:]
         twin.group_messages = self.group_messages[:]
-        twin.players = copy.deepcopy(self.players, {id(self.draws): draws})
+        twins = {self.draws: draws}
+        twin.players = [player.fork(twins) for player in self.players]
         twin.draws, draws.run = draws, twin
         return twin
 
@@ -625,13 +626,13 @@ class _BranchDraws(TapeDraws):
 
     def _past_end(self, p_zero: Fraction) -> None:
         run, tape = self.run, self._tape + (0,)
-        if self.fresh:
+        if self.fresh and all(hasattr(player, "fork") for player in run.players):
             # the act has changed nothing yet, so a copy of the run replays
             # it from its start
             fork = run.fork(_BranchDraws(self.stack, tape, self.log))
         else:
-            # a later draw of the act: no copy from before the act is kept,
-            # so the fork replays from the root
+            # a later draw of the act, whose start no copy keeps, or a
+            # seating that cannot be copied: the fork replays from the root
             fork = _Run(run.instance, run.strategy, _BranchDraws(self.stack, tape), run.step_limit)
         self.stack.append(fork)
         self._tape += (1,)

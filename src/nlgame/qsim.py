@@ -251,9 +251,6 @@ class StateVector:
     def __hash__(self) -> int:
         return hash((self._n, self.amplitudes))
 
-    def __deepcopy__(self, memo) -> "StateVector":
-        return self  # immutable
-
     def __repr__(self) -> str:
         # reads the factored form only: the dense view may hold 2**n slots
         return (

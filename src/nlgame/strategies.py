@@ -17,7 +17,6 @@ for the labeling strategy.
 
 from __future__ import annotations
 
-import copy
 import enum
 import itertools
 from fractions import Fraction
@@ -99,9 +98,12 @@ class QuantumSharedState:
         outcome, self.state, _p = measure_qubit(self.state, qubit, basis, self._draws)
         return outcome
 
-    def __deepcopy__(self, memo) -> "QuantumSharedState":
-        # the register is immutable, so a copy shares it; the draws follow the memo
-        return QuantumSharedState(self.state, copy.deepcopy(self._draws, memo))
+    def fork(self, twins: dict) -> "QuantumSharedState":
+        # one twin per forked run (see Strategy.make_players); the register
+        # is immutable, so the twin shares it
+        if self not in twins:
+            twins[self] = QuantumSharedState(self.state, twins[self._draws])
+        return twins[self]
 
 
 def _seat(n: int, instance: GameInstance, chosen_role, leader_role, other_role) -> list:
@@ -168,8 +170,8 @@ class _Measurer:
         basis = MeasBasis.DIAGONAL if inbox.broadcasts[0][1] == "1" else MeasBasis.CIRCULAR
         return Action(output=str(self._shared.measure(self._index, basis)), halt=True)
 
-    def __deepcopy__(self, memo) -> "_Measurer":
-        return _Measurer(self._index, copy.deepcopy(self._shared, memo))
+    def fork(self, twins: dict) -> "_Measurer":
+        return _Measurer(self._index, self._shared.fork(twins))
 
 
 class _OutcomeReporter:
@@ -184,8 +186,8 @@ class _OutcomeReporter:
         self._shared = shared
         self._leader = leader
 
-    def __deepcopy__(self, memo) -> "_OutcomeReporter":
-        return _OutcomeReporter(self._index, copy.deepcopy(self._shared, memo), self._leader)
+    def fork(self, twins: dict) -> "_OutcomeReporter":
+        return _OutcomeReporter(self._index, self._shared.fork(twins), self._leader)
 
     def act(self, inbox: Inbox) -> Action:
         if inbox.step == 1:

@@ -13,6 +13,7 @@ from nlgame.cli import (
     fraction_fields,
     main,
 )
+from nlgame.games import Action
 
 
 def run_cli(argv, capsys):
@@ -217,6 +218,91 @@ def test_verify_exit_code_one_on_failed_check(capsys, monkeypatch):
     assert code == 1
     assert "failed checks: labeling-universality" in err
     assert "FAIL" in out
+
+
+def _certainty_details(out):
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    return [
+        (checks[name]["status"], checks[name]["detail"])
+        for name in ("simple-quantum-certainty", "general-quantum-certainty")
+    ]
+
+
+def _nonzero_mass_at(monkeypatch, *bad_sets):
+    # both mass functions weigh through this kernel
+    monkeypatch.setattr(
+        "nlgame.strategies._even_parity_mass",
+        lambda n, chosen: Fraction(1, 4) if chosen in bad_sets else Fraction(0),
+    )
+
+
+def test_verify_fails_both_certainty_checks_on_a_pair_with_mass(capsys, monkeypatch):
+    _nonzero_mass_at(monkeypatch, (1, 2), (2, 5), (3, 4), (6, 7))
+    code, out, err = run_cli(["verify", "--n", "7", "--format", "json"], capsys)
+    assert code == 1
+    assert err == "failed checks: simple-quantum-certainty, general-quantum-certainty\n"
+    assert _certainty_details(out) == [
+        ("fail", "nonzero losing mass at pairs [(1, 2), (2, 5), (3, 4)]"),
+        ("fail", "nonzero even-parity mass at C = [(1, 2), (2, 5), (3, 4)]"),
+    ]
+
+
+def test_verify_fails_only_the_parity_check_on_a_size_six_set_with_mass(
+    capsys, monkeypatch
+):
+    _nonzero_mass_at(monkeypatch, (1, 2, 3, 4, 5, 7), (2, 3, 4, 5, 6, 7))
+    code, out, err = run_cli(["verify", "--n", "7", "--format", "json"], capsys)
+    assert code == 1
+    assert err == "failed checks: general-quantum-certainty\n"
+    assert _certainty_details(out) == [
+        ("pass", "losing mass exactly 0 on all 21 pairs; broadcast bits = 1 (all branches)"),
+        ("fail", "nonzero even-parity mass at C = [(1, 2, 3, 4, 5, 7), (2, 3, 4, 5, 6, 7)]"),
+    ]
+
+
+def test_verify_lists_bad_pairs_before_bad_larger_sets(capsys, monkeypatch):
+    _nonzero_mass_at(monkeypatch, (3, 5), (1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 7))
+    code, out, _ = run_cli(["verify", "--n", "7", "--format", "json"], capsys)
+    assert code == 1
+    assert _certainty_details(out) == [
+        ("fail", "nonzero losing mass at pairs [(3, 5)]"),
+        ("fail", "nonzero even-parity mass at C = [(3, 5), (1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 7)]"),
+    ]
+
+
+@pytest.mark.parametrize("n", [5, 9])
+def test_verify_fails_both_certainty_checks_on_a_losing_run(n, capsys, monkeypatch):
+    # every chosen player outputs 0: a pair outputs equal bits, and so does
+    # any larger chosen set, since its size is even
+    monkeypatch.setattr(
+        "nlgame.strategies._Measurer.act",
+        lambda self, inbox: Action(output="0", halt=True)
+        if inbox.broadcasts else Action(),
+    )
+    code, out, err = run_cli(["verify", "--n", str(n), "--format", "json"], capsys)
+    assert code == 1
+    assert err == "failed checks: simple-quantum-certainty, general-quantum-certainty\n"
+    assert _certainty_details(out) == [
+        ("fail", "expected 1 broadcast bit and wins, got max 1 bits"),
+        ("fail", "expected <= 1 broadcast bit and wins, got max 1"),
+    ]
+
+
+@pytest.mark.parametrize("n", [6, 10])
+def test_verify_fails_only_the_parity_check_when_the_full_set_loses(
+    n, capsys, monkeypatch
+):
+    # with every player chosen, the injected hint 1 makes all of them measure
+    # diagonally, and the GHZ state then gives even parity on every branch
+    monkeypatch.setattr(
+        "nlgame.strategies._QuantumParityStrategy.empty_group_action",
+        lambda self, instance, group_index: Action(broadcast="1"),
+    )
+    code, out, err = run_cli(["verify", "--n", str(n), "--format", "json"], capsys)
+    assert code == 1
+    assert err == "failed checks: general-quantum-certainty\n"
+    assert [status for status, _ in _certainty_details(out)] == ["pass", "fail"]
+    assert _certainty_details(out)[1][1] == "expected <= 1 broadcast bit and wins, got max 1"
 
 
 def test_verify_runs_are_byte_identical(capsys):

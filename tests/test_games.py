@@ -1,5 +1,6 @@
 """Game definitions, the execution loop, and broadcast accounting."""
 
+import copy
 import itertools
 import random
 from fractions import Fraction
@@ -569,6 +570,19 @@ def test_enumerate_branches_runs_each_leaf_once(monkeypatch):
     deterministic = _CountingRuns(strategy_from_name("classical-label", 4))
     assert len(list(enumerate_branches(make_general_game(4).instances[0], deterministic))) == 1
     assert deterministic.runs == 1
+
+
+def test_forks_copy_the_seating_through_the_players_fork_hooks(monkeypatch):
+    # the general game at n = 6 also forks the seating of C = {1..6}, whose
+    # remaining group is empty
+    def no_deepcopy(*args, **kwargs):
+        raise AssertionError("a fork called copy.deepcopy")
+
+    monkeypatch.setattr(copy, "deepcopy", no_deepcopy)
+    strategy = strategy_from_name("quantum-general", 6)
+    for instance in make_general_game(6).instances:
+        walk = list(enumerate_branches(instance, strategy))
+        assert walk == list(oracles.replay_branches(instance, strategy, run_game))
 
 
 class _DoubleDraw(Strategy):

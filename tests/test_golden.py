@@ -23,8 +23,9 @@ CASES = {
     **{
         f"verify-n{n}.json": ["verify", "--n", str(n), "--format", "json"]
         # n = 8 is the largest exhaustive replay, n = 9 the first report
-        # built from seeded runs
-        for n in range(2, 10)
+        # built from seeded runs, n = 10 the first with three chosen-set
+        # sizes (|C| = n leaves the remaining group empty)
+        for n in range(2, 11)
     },
     "table.json": ["table", "--format", "json"],
     **{

@@ -31,6 +31,7 @@ from nlgame import (
     simple_strategy_losing_mass,
     strategy_from_name,
 )
+from nlgame.games import fold_runs
 from nlgame.qsim import MeasBasis
 
 A0 = ClassicalAtomStrategy.CONST0
@@ -194,6 +195,51 @@ def test_the_three_sweeps_agree():
             assert general_strategy_forbidden_mass(n, chosen) == even
             if len(chosen) == 2:
                 assert simple_strategy_losing_mass(n, chosen) == even
+
+
+def test_pair_mass_equals_parity_mass_on_every_pair():
+    # verify sweeps each pair once, through the pair mass, for both checks
+    for n in range(2, 9):
+        for pair in itertools.combinations(range(1, n + 1), 2):
+            assert simple_strategy_losing_mass(n, pair) == general_strategy_forbidden_mass(n, pair)
+
+
+def _all_branches(strategy, instance, index):
+    return enumerate_branches(instance, strategy)
+
+
+def _seeded(strategy, instance, index, seed=42, reps=8):
+    return [
+        (run_game(instance, strategy, SplitMix64.stream(seed, index, rep)), Fraction(1, reps))
+        for rep in range(reps)
+    ]
+
+
+@pytest.mark.parametrize(
+    "n, play", [(n, _all_branches) for n in range(3, 9)] + [(9, _seeded), (10, _seeded)]
+)
+def test_pair_game_fold_is_the_parity_games_pair_slice(n, play):
+    pair_game, parity_game = make_simple_game(n), make_general_game(n)
+    pairs = pair_game.instances.size
+    pair_strategy, parity_strategy = quantum_simple_strategy(n), quantum_general_strategy(n)
+    for index in range(pairs):
+        pair, member = pair_game.instances[index], parity_game.instances[index]
+        assert pair.chosen == member.chosen
+        # a result compares by its verdict and its whole transcript
+        assert list(play(pair_strategy, pair, index)) == list(
+            play(parity_strategy, member, index)
+        )
+    masses, bits, all_won = fold_runs(
+        pair_game, pair_strategy, lambda instance, index: play(pair_strategy, instance, index)
+    )
+    # the parity game lists its |C| = 2 slice first
+    slice_masses, slice_bits, slice_won = fold_runs(
+        parity_game,
+        parity_strategy,
+        lambda instance, index: play(parity_strategy, instance, index) if index < pairs else (),
+    )
+    assert masses == slice_masses[:pairs] and len(masses) == pairs
+    assert (bits, all_won) == (slice_bits, slice_won) == ({1}, True)
 
 
 def test_output_distribution_matches_symbolic_oracle():
