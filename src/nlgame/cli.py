@@ -361,6 +361,7 @@ def _check_quantum(game: str, n: int, seed: int, fold: SimpleNamespace) -> tuple
     spec = _build_spec(game, n)
     strategy = strategy_from_name(_default_strategy(game), n)
     start, fold.size = fold.size, spec.instances.size
+    assert start <= fold.size, "the pair check must run before the parity check"
     fresh = islice(spec.instances, start, None)
     fold.bad += [inst.chosen for inst in fresh if mass(n, inst.chosen) != 0]
     if fold.bad:
@@ -430,7 +431,7 @@ def _check_lemma_chain(n: int) -> tuple[bool, str, dict]:
     ), data
 
 
-# (name, lo, hi, runner(n, seed, fold)): each check runs for lo <= n <= hi
+# (name, lo, hi, runner(n, seed, fold)), run for lo <= n <= hi; the pair check goes first
 _VERIFY_CHECKS = (
     ("simple-quantum-certainty", 3, 12, partial(_check_quantum, "simple")),
     ("general-quantum-certainty", 2, 12, partial(_check_quantum, "general")),

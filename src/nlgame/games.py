@@ -388,12 +388,12 @@ class Strategy:
     def make_players(self, instance: GameInstance, draws) -> list[Player]:
         """One player per seat; players draw from ``draws``, and only in ``act``.
 
-        :func:`enumerate_branches` forks a run at its draws.  It copies the
-        seating if every player has ``fork(twins)``, else replays from the
-        root.  ``twins`` maps ``draws`` to the copy's source; ``fork``
-        returns an equivalent player on that source, keeping in ``twins``
-        the one twin of each object players share.  In a copied seating an
-        act changes no state before its first draw.
+        :func:`enumerate_branches` forks a run at its draws by copying the
+        seating, so every player of a seating that draws has
+        ``fork(twins)``.  ``twins`` maps ``draws`` to the copy's source;
+        ``fork`` returns an equivalent player on that source, keeping in
+        ``twins`` the one twin of each object players share.  An act
+        changes no state before its first draw.
         """
         raise NotImplementedError
 
@@ -626,13 +626,12 @@ class _BranchDraws(TapeDraws):
 
     def _past_end(self, p_zero: Fraction) -> None:
         run, tape = self.run, self._tape + (0,)
-        if self.fresh and all(hasattr(player, "fork") for player in run.players):
+        if self.fresh:
             # the act has changed nothing yet, so a copy of the run replays
             # it from its start
             fork = run.fork(_BranchDraws(self.stack, tape, self.log))
         else:
-            # a later draw of the act, whose start no copy keeps, or a
-            # seating that cannot be copied: the fork replays from the root
+            # a later draw of the act, whose start no copy keeps: replay from the root
             fork = _Run(run.instance, run.strategy, _BranchDraws(self.stack, tape), run.step_limit)
         self.stack.append(fork)
         self._tape += (1,)

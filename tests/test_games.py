@@ -521,8 +521,15 @@ def _replay_cases():
                 yield pytest.param(make, n, name, id=f"{game}-{n}-{name}")
 
 
+def _no_deepcopy(*args, **kwargs):
+    raise AssertionError("a fork called copy.deepcopy")
+
+
 @pytest.mark.parametrize("make, n, name", list(_replay_cases()))
-def test_enumerate_branches_matches_the_replay_oracle(make, n, name):
+def test_enumerate_branches_matches_the_replay_oracle(make, n, name, monkeypatch):
+    # forks copy the seating through the players' fork hooks; the general
+    # game at n = 6 also forks C = {1..6}, whose remaining group is empty
+    monkeypatch.setattr(copy, "deepcopy", _no_deepcopy)
     strategy = strategy_from_name(name, n)
     for instance in make(n).instances:
         # a result compares by its verdict and its whole transcript
@@ -572,24 +579,13 @@ def test_enumerate_branches_runs_each_leaf_once(monkeypatch):
     assert deterministic.runs == 1
 
 
-def test_forks_copy_the_seating_through_the_players_fork_hooks(monkeypatch):
-    # the general game at n = 6 also forks the seating of C = {1..6}, whose
-    # remaining group is empty
-    def no_deepcopy(*args, **kwargs):
-        raise AssertionError("a fork called copy.deepcopy")
-
-    monkeypatch.setattr(copy, "deepcopy", no_deepcopy)
-    strategy = strategy_from_name("quantum-general", 6)
-    for instance in make_general_game(6).instances:
-        walk = list(enumerate_branches(instance, strategy))
-        assert walk == list(oracles.replay_branches(instance, strategy, run_game))
-
-
 class _DoubleDraw(Strategy):
-    """Each chosen player draws in step 1 a certain 1 (p_zero = 0) and then
+    """Each chosen player draws in step 1 a certain 1 (p_zero = 0) and
     twice genuinely, at p_zero = 1/4 and then 3/4; it keeps its draws in a
-    list and outputs their parity.  The remaining players halt.  Players
-    hold their draw source, so a copy draws from the source it is mapped to."""
+    list and outputs their parity.  The lower chosen player draws its
+    certain 1 first and the higher one last, so only the higher one's acts
+    are copied.  The remaining players halt.  A player's fork draws from
+    the source its own source is mapped to, on a copy of the list."""
 
     def __init__(self, n):
         self.n = n
@@ -606,10 +602,19 @@ class _DoubleDraw(Strategy):
             def act(self, inbox):
                 if self.i not in chosen:
                     return Action(halt=True)
-                self.drawn.append(self.draws.draw(Fraction(0)))
+                certain_first = self.i == min(chosen)
+                if certain_first:
+                    self.drawn.append(self.draws.draw(Fraction(0)))
                 self.drawn.append(self.draws.draw(Fraction(1, 4)))
                 self.drawn.append(self.draws.draw(Fraction(3, 4)))
+                if not certain_first:
+                    self.drawn.append(self.draws.draw(Fraction(0)))
                 return Action(output=str(sum(self.drawn) % 2), halt=True)
+
+            def fork(self, twins):
+                twin = P(self.i)
+                twin.draws, twin.drawn = twins[self.draws], self.drawn[:]
+                return twin
 
         return [P(i) for i in range(1, self.n + 1)]
 
@@ -617,7 +622,7 @@ class _DoubleDraw(Strategy):
 def test_enumerate_branches_forks_acts_that_draw_twice():
     # a fork at an act's second genuine draw must replay the act's first
     # outcome, a fork after the act's certain draw must not keep it twice,
-    # and forks must not share the players' lists
+    # and a copy taken at an act's first draw must not share its lists
     spec = make_simple_game(4)
     strategy = _DoubleDraw(4)
     for instance in spec.instances:
