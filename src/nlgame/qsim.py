@@ -11,7 +11,8 @@ onto a joint outcome, summing terms with ``_add_term`` (the one place that
 aligns sqrt(2) scales and rejects a sum outside the exact set), and
 ``_mass`` weighs the result.  ``outcome_probability`` weighs one projection;
 ``measure_qubit`` projects onto both outcomes of its qubit, draws one and
-renormalizes it.  The kernels work on plain integer triples, and
+renormalizes it, computing each split of a register's core once.  The
+kernels and the core work on plain integer triples, and
 :class:`ExactAmplitude` is only the canonical value they hand out.
 
 Conventions: qubits are numbered 1..n and qubit 1 is the most significant
@@ -55,6 +56,15 @@ class DrawSource(Protocol):
     def draw(self, p_zero: Fraction) -> int: ...
 
 
+def _canonical(re: int, im: int, scale: int) -> tuple[int, int, int]:
+    """The canonical ``(re, im, scale)`` of (re + im*i) / sqrt(2)**scale."""
+    if re == 0 and im == 0:
+        return 0, 0, 0
+    while scale >= 2 and not (re | im) & 1:
+        re, im, scale = re >> 1, im >> 1, scale - 2
+    return re, im, scale
+
+
 class ExactAmplitude:
     """Complex number (re + im*i) / sqrt(2)**scale with integer re, im.
 
@@ -71,16 +81,7 @@ class ExactAmplitude:
     def __init__(self, re: int, im: int = 0, scale: int = 0) -> None:
         if scale < 0:
             raise ValueError("sqrt2 scale must be non-negative")
-        if re == 0 and im == 0:
-            scale = 0
-        else:
-            while scale >= 2 and re % 2 == 0 and im % 2 == 0:
-                re //= 2
-                im //= 2
-                scale -= 2
-        self._re = re
-        self._im = im
-        self._scale = scale
+        self._re, self._im, self._scale = _canonical(re, im, scale)
 
     @property
     def re_int(self) -> int:
@@ -117,6 +118,7 @@ class MeasBasis(enum.Enum):
     COMPUTATIONAL = "computational"
     DIAGONAL = "diagonal"
     CIRCULAR = "circular"
+    __hash__ = object.__hash__  # members equal only themselves; Enum's hash is Python code
 
 
 # Single-qubit basis vectors as ((re0, im0), (re1, im1), shared sqrt2 scale).
@@ -148,15 +150,19 @@ class StateVector:
 
     The state is held as an entangled core times measured factors.  The
     core maps amplitude indices, with the bits of measured qubits cleared,
-    to nonzero amplitudes; the factors map each measured qubit to the
-    ``(basis, outcome)`` whose basis vector it was left in.  A projective
-    single-qubit measurement only ever moves a qubit from the core into a
-    factor, so a GHZ core keeps at most two entries however many qubits
-    are measured.  The dense view (``amplitudes``, ``support``,
-    ``dump_lines``, equality) is built on demand and cached.
+    to nonzero amplitudes as canonical ``(re, im, scale)`` triples; the
+    factors map each measured qubit to the ``(basis, outcome)`` whose basis
+    vector it was left in.  A projective single-qubit measurement only ever
+    moves a qubit from the core into a factor, so a GHZ core keeps at most
+    two entries however many qubits are measured.  The dense view
+    (``amplitudes``, ``support``, ``dump_lines``, equality) is built on
+    demand and cached.  The states measured from one ``make_ghz`` or
+    constructor call share its split table (see :func:`measure_qubit`) and
+    free it with the last of them; states that drew equal splits share
+    one core, so no core is ever mutated.
     """
 
-    __slots__ = ("_n", "_core", "_factors", "_dense")
+    __slots__ = ("_n", "_core", "_factors", "_dense", "_splits")
 
     def __init__(
         self,
@@ -172,9 +178,10 @@ class StateVector:
         if len(amps) != 1 << num_qubits:
             raise ValueError("amplitude count must be 2**num_qubits")
         self._n = num_qubits
-        self._core = {i: a for i, a in enumerate(amps) if not a.is_zero()}
+        self._core = {i: (a._re, a._im, a._scale) for i, a in enumerate(amps) if not a.is_zero()}
         self._factors: dict[int, tuple[MeasBasis, int]] = {}
         self._dense = (amps, tuple(self._core))
+        self._splits: dict = {}
         if validate_norm and self.norm_squared() != 1:
             raise ValueError("state vector must have squared norm exactly 1")
 
@@ -182,21 +189,23 @@ class StateVector:
     def _factored(
         cls,
         num_qubits: int,
-        core: dict[int, ExactAmplitude],
+        core: dict[int, tuple[int, int, int]],
         factors: dict[int, tuple[MeasBasis, int]],
+        splits: dict,
     ) -> "StateVector":
         state = cls.__new__(cls)
         state._n = num_qubits
         state._core = core
         state._factors = factors
         state._dense = None
+        state._splits = splits
         return state
 
     def _dense_view(self) -> tuple[tuple[ExactAmplitude, ...], tuple[int, ...]]:
         # (amplitudes, support): every core entry times every nonzero
         # component of every factor, placed at the factor's bit
         if self._dense is None:
-            entries = [(idx, a._re, a._im, a._scale) for idx, a in self._core.items()]
+            entries = [(idx, *a) for idx, a in self._core.items()]
             for qubit, (basis, outcome) in self._factors.items():
                 shift = self._n - qubit
                 *vector, s = _BASIS_COMPONENTS[basis, outcome]
@@ -233,7 +242,7 @@ class StateVector:
 
     def norm_squared(self) -> Fraction:
         # factors are unit basis vectors, so the core carries the whole norm
-        return _fraction(*_mass((a._re, a._im, a._scale) for a in self._core.values()))
+        return _fraction(*_mass(self._core.values()))
 
     def dump_lines(self) -> list[str]:
         """One line per nonzero amplitude: ``index_bits re_int im_int scale``."""
@@ -263,8 +272,7 @@ def make_ghz(n: int, *, cap: int = QUBIT_CAP) -> StateVector:
     """(|0...0> + |1...1>) / sqrt(2) on n qubits; n = 1 gives (|0> + |1>) / sqrt(2)."""
     if n < 1 or n > cap:
         raise ValueError(f"GHZ register size must be in [1, {cap}], got {n}")
-    half = ExactAmplitude(1, 0, 1)
-    return StateVector._factored(n, {0: half, (1 << n) - 1: half}, {})
+    return StateVector._factored(n, {0: (1, 0, 1), (1 << n) - 1: (1, 0, 1)}, {}, {})
 
 
 def _add_term(acc: dict, key: int, re: int, im: int, scale: int) -> None:
@@ -366,8 +374,7 @@ def _project(
             factors.append((pos, _CONJUGATE_COMPONENTS[basis][bit]))
 
     acc: dict[int, list] = {}
-    for idx, a in state._core.items():
-        re, im, sc = a._re, a._im, a._scale
+    for idx, (re, im, sc) in state._core.items():
         for pos, weights in factors:
             wre, wim, ws = weights[idx >> pos & 1]
             if not (wre or wim):
@@ -394,33 +401,46 @@ def measure_qubit(
     (the reachable states here only ever need a sqrt(2)-power
     renormalization; anything else raises :class:`ExactnessError`).
     Branch masses stay integers over a power of two until the draw.
+
+    A split is computed once per register: its table is keyed by the core's
+    content, the qubit, the basis and the qubit's held factor (or ``None``),
+    and holds both masses, ``p_zero``, both projections and each drawn
+    outcome's child core, shared by every state that draws it.  A failed
+    check stores nothing, so it raises again on every call.
     """
-    projected = (
-        _project(state, ((qubit_index, basis, 0),)),
-        _project(state, ((qubit_index, basis, 1),)),
-    )
-    masses = (num0, top0), (num1, top1) = (
-        _mass(projected[0].values()),
-        _mass(projected[1].values()),
-    )
-    top = max(top0, top1)
-    if (num0 << (top - top0)) + (num1 << (top - top1)) != 1 << top:
-        raise ExactnessError("measurement branches do not sum to 1")
-    outcome = draws.draw(_fraction(num0, top0))
+    key = (frozenset(state._core.items()), qubit_index, basis, state._factors.get(qubit_index))
+    split = state._splits.get(key)
+    if split is None:
+        projected = (
+            _project(state, ((qubit_index, basis, 0),)),
+            _project(state, ((qubit_index, basis, 1),)),
+        )
+        masses = (num0, top0), (num1, top1) = (
+            _mass(projected[0].values()),
+            _mass(projected[1].values()),
+        )
+        top = max(top0, top1)
+        if (num0 << (top - top0)) + (num1 << (top - top1)) != 1 << top:
+            raise ExactnessError("measurement branches do not sum to 1")
+        split = state._splits[key] = (_fraction(num0, top0), masses, projected, [None, None])
+    p_zero, masses, projected, children = split
+    outcome = draws.draw(p_zero)
     num, top = masses[outcome]
     p = _fraction(num, top)
-    # only the drawn branch is renormalized, so only it must be 2**-t
-    if not num or num & (num - 1):
-        raise ExactnessError(f"renormalization needs a power-of-two probability, got {p}")
-    # each entry's own mass is at most the branch's 2**-t, so t <= its scale
-    t = top - num.bit_length() + 1
-    core = {
-        key: ExactAmplitude(re, im, sc - t)
-        for key, (re, im, sc) in projected[outcome].items()
-        if re or im
-    }
+    core = children[outcome]
+    if core is None:
+        # only the drawn branch is renormalized, so only it must be 2**-t
+        if not num or num & (num - 1):
+            raise ExactnessError(f"renormalization needs a power-of-two probability, got {p}")
+        # each entry's own mass is at most the branch's 2**-t, so t <= its scale
+        t = top - num.bit_length() + 1
+        core = children[outcome] = {
+            idx: _canonical(re, im, sc - t)
+            for idx, (re, im, sc) in projected[outcome].items()
+            if re or im
+        }
     factors = {**state._factors, qubit_index: (basis, outcome)}
-    return outcome, StateVector._factored(state._n, core, factors), p
+    return outcome, StateVector._factored(state._n, core, factors, state._splits), p
 
 
 def outcome_probability(

@@ -99,8 +99,8 @@ class QuantumSharedState:
         return outcome
 
     def fork(self, twins: dict) -> "QuantumSharedState":
-        # one twin per forked run (see Strategy.make_players); the register
-        # is immutable, so the twin shares it
+        # one twin per forked run (see Strategy.make_players); it shares the
+        # immutable register and so its split table: a walk splits each core once
         if self not in twins:
             twins[self] = QuantumSharedState(self.state, twins[self._draws])
         return twins[self]

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+
+import nlgame.strategies
 from nlgame import (
     QUBIT_CAP,
     ExactAmplitude,
@@ -20,9 +22,12 @@ from nlgame import (
     SplitMix64,
     StateVector,
     TapeDraws,
+    enumerate_branches,
     make_ghz,
+    make_simple_game,
     measure_qubit,
     outcome_probability,
+    quantum_simple_strategy,
 )
 from nlgame.qsim import _add_term
 
@@ -417,16 +422,16 @@ def random_dense_state(rng, n: int) -> StateVector:
     return StateVector(n, amps)  # validates the norm
 
 
-def test_factored_collapse_matches_oracle_on_random_sequences():
+def test_factored_collapse_matches_oracle_on_random_sequences(monkeypatch):
     import random
 
+    calls = _project_calls(monkeypatch)
     rng = random.Random(2002)
-    remeasured_in_new_basis = 0
+    remeasured_in_new_basis = sibling_hits = 0
     for n in range(1, 7):
         for trial in range(6 if n < 6 else 3):
-            state = make_ghz(n) if trial % 2 == 0 else random_dense_state(rng, n)
-            ref = state_syms(state)
-            draws = SplitMix64(1000 * n + trial)
+            start = make_ghz(n) if trial % 2 == 0 else random_dense_state(rng, n)
+            plan = []
             held = {}
             for _ in range(2 * n):
                 qubit = rng.randint(1, n)
@@ -434,15 +439,24 @@ def test_factored_collapse_matches_oracle_on_random_sequences():
                 if qubit in held and held[qubit] is not basis:
                     remeasured_in_new_basis += 1
                 held[qubit] = basis
-                outcome, state, p = measure_qubit(state, qubit, basis, draws)
-                ref_p, ref = oracles.measure(ref, n, qubit, basis.value, outcome)
-                assert p == ref_p
-                assert state_syms(state) == ref
-                assert state.norm_squared() == 1
-                assert state.support == tuple(
-                    i for i, a in enumerate(state.amplitudes) if not a.is_zero()
-                )
+                plan.append((qubit, basis))
+            # the sibling pass replays the plan on the same register with
+            # other draws, so it reads the splits the first pass stored
+            for sibling, seed in enumerate((1000 * n + trial, 1000 * n + trial + 500)):
+                state, ref, draws = start, state_syms(start), SplitMix64(seed)
+                for qubit, basis in plan:
+                    calls.clear()
+                    outcome, state, p = measure_qubit(state, qubit, basis, draws)
+                    sibling_hits += sibling and not calls
+                    ref_p, ref = oracles.measure(ref, n, qubit, basis.value, outcome)
+                    assert p == ref_p
+                    assert state_syms(state) == ref
+                    assert state.norm_squared() == 1
+                    assert state.support == tuple(
+                        i for i, a in enumerate(state.amplitudes) if not a.is_zero()
+                    )
     assert remeasured_in_new_basis > 20
+    assert sibling_hits > 50
 
 
 def test_outcome_probability_on_measured_states_matches_oracle_marginals():
@@ -471,3 +485,95 @@ def test_outcome_probability_on_measured_states_matches_oracle_marginals():
                 )
                 checked_measured += bool(measured & set(qubits))
     assert checked_measured > 20
+
+
+# ---------------------------------------------------------------------------
+# the split table shared by a register's measured states
+
+
+def _project_calls(monkeypatch) -> list:
+    """A list that grows by one per call of the projection kernel."""
+    calls = []
+    project = nlgame.qsim._project
+    monkeypatch.setattr(nlgame.qsim, "_project", lambda *args: calls.append(1) or project(*args))
+    return calls
+
+
+def test_split_table_hits_across_a_branch_walk(monkeypatch):
+    # sibling branches at one depth hold equal cores, so of the walk's 190
+    # measurements only a few dozen splits are new: a walk that recomputed
+    # every split made 380 projections at n = 7 and 764 at n = 8
+    calls = _project_calls(monkeypatch)
+    measured = []
+    measure = nlgame.strategies.measure_qubit
+    monkeypatch.setattr(
+        nlgame.strategies, "measure_qubit", lambda *args: measured.append(1) or measure(*args)
+    )
+    counts = {}
+    for n in (7, 8):
+        calls.clear()
+        measured.clear()
+        instance = next(i for i in make_simple_game(n).instances if i.chosen == (n - 1, n))
+        leaves = len(list(enumerate_branches(instance, quantum_simple_strategy(n))))
+        counts[n] = leaves, len(measured), len(calls)
+    (leaves_7, measured_7, projected_7), (leaves_8, measured_8, projected_8) = counts.values()
+    assert (leaves_7, measured_7, leaves_8, measured_8) == (64, 190, 128, 382)
+    assert projected_7 <= 60
+    assert projected_7 < projected_8 <= projected_7 + 6
+
+
+def _check_against_oracle(state, qubit, basis, outcome, calls, hit):
+    """Measures ``qubit`` with a forced ``outcome``, checks the result against
+    the oracle and against a new register that holds the same amplitudes,
+    and checks whether the split came from the table."""
+    n = state.num_qubits
+    calls.clear()
+    got, after, p = measure_qubit(state, qubit, basis, TapeDraws((outcome,)))
+    assert (not calls) == hit
+    ref_p, ref = oracles.measure(state_syms(state), n, qubit, basis.value, outcome)
+    assert (got, p) == (outcome, ref_p)
+    assert state_syms(after) == ref
+    fresh = StateVector(n, state.amplitudes)  # its own table, so this one misses
+    fresh_got, fresh_after, fresh_p = measure_qubit(fresh, qubit, basis, TapeDraws((outcome,)))
+    assert (fresh_got, fresh_after.dump_lines(), fresh_p) == (got, after.dump_lines(), p)
+
+
+def test_split_table_hits_give_the_oracles_answer(monkeypatch):
+    calls = _project_calls(monkeypatch)
+    # qubits 1 and 2 measured diagonally with outcomes (0, 1) on one path
+    # and (1, 0) on the other leave equal cores under different factors
+    ghz = make_ghz(5)
+    paths = []
+    for outcomes in ((0, 1), (1, 0)):
+        state = ghz
+        for qubit, outcome in zip((1, 2), outcomes):
+            _, state, _ = measure_qubit(state, qubit, D, TapeDraws((outcome,)))
+        paths.append(state)
+    first, second = paths
+    assert first.measured != second.measured
+    for basis in (D, C, Z):
+        for outcome in (0, 1):
+            # the first path stores the split at outcome 0 and the child at
+            # each outcome; the second path finds both
+            _check_against_oracle(first, 3, basis, outcome, calls, hit=outcome == 1)
+            _check_against_oracle(second, 3, basis, outcome, calls, hit=True)
+    # re-measuring qubit 1 circularly keys on its held factor, which the
+    # two paths do not share
+    for state, hit in ((first, False), (second, False), (first, True), (second, True)):
+        _check_against_oracle(state, 1, C, 0, calls, hit)
+
+
+def test_split_table_stores_no_failure():
+    state = _three_quarter_state()
+    for _ in range(2):
+        with pytest.raises(ExactnessError, match="power-of-two probability, got 3/4"):
+            measure_qubit(state, 1, Z, TapeDraws((0,)))
+    outcome, after, p = measure_qubit(state, 1, Z, TapeDraws((1,)))
+    assert (outcome, p) == (1, Fraction(1, 4))
+    assert after.dump_lines() == ["10 1 0 0"]
+    with pytest.raises(ExactnessError, match="power-of-two probability, got 3/4"):
+        measure_qubit(state, 1, Z, TapeDraws((0,)))
+    unnormalized = StateVector(1, [ExactAmplitude(1), ExactAmplitude(1)], validate_norm=False)
+    for _ in range(2):
+        with pytest.raises(ExactnessError, match="measurement branches do not sum to 1"):
+            measure_qubit(unnormalized, 1, Z, TapeDraws((0,)))
