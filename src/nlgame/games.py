@@ -146,12 +146,12 @@ class TapeDraws:
     points of a run.  (enumerate_branches forks the run itself instead.)
     """
 
-    __slots__ = ("_tape", "_pos", "log")
+    __slots__ = ("_tape", "_pos", "_num", "_den")
 
     def __init__(self, tape: Sequence[int] = ()) -> None:
         self._tape = tuple(tape)
         self._pos = 0
-        self.log: list[tuple[Fraction, int]] = []
+        self._num = self._den = 1  # joint probability of the tape bits drawn so far
 
     def _past_end(self, p_zero: Fraction) -> None:
         raise TapeExhausted(p_zero)
@@ -166,15 +166,12 @@ class TapeDraws:
             self._past_end(p_zero)
         bit = self._tape[self._pos]
         self._pos += 1
-        self.log.append((p_zero, bit))
+        self._num *= num if bit == 0 else den - num
+        self._den *= den
         return bit
 
     def branch_probability(self) -> Fraction:
-        num = den = 1
-        for p_zero, bit in self.log:
-            num *= p_zero.numerator if bit == 0 else p_zero.denominator - p_zero.numerator
-            den *= p_zero.denominator
-        return Fraction(num, den)
+        return Fraction(self._num, self._den)
 
 
 @dataclass(frozen=True)
@@ -604,16 +601,14 @@ def run_game(
 class _BranchDraws(TapeDraws):
     """Draw source of one run of :func:`enumerate_branches`: past its tape,
     each genuine draw takes outcome 1 and stacks the run that takes 0.
-    ``log`` starts with the draws of the prefix the run was copied at."""
+    A run copied at a draw starts from the tape position and probability
+    reached there."""
 
     __slots__ = ("run", "stack", "act", "fresh")
 
-    def __init__(
-        self, stack: list[_Run], tape: tuple[int, ...] = (), log: Iterable = ()
-    ) -> None:
+    def __init__(self, stack: list[_Run], tape: tuple[int, ...] = (), prefix=(0, 1, 1)) -> None:
         super().__init__(tape)
-        self.log += log
-        self._pos = len(self.log)
+        self._pos, self._num, self._den = prefix  # tape position, probability num/den
         self.run: _Run | None = None
         self.stack = stack
         self.act: tuple[int, int] | None = None  # (step, seat) of the last draw
@@ -629,7 +624,7 @@ class _BranchDraws(TapeDraws):
         if self.fresh:
             # the act has changed nothing yet, so a copy of the run replays
             # it from its start
-            fork = run.fork(_BranchDraws(self.stack, tape, self.log))
+            fork = run.fork(_BranchDraws(self.stack, tape, (self._pos, self._num, self._den)))
         else:
             # a later draw of the act, whose start no copy keeps: replay from the root
             fork = _Run(run.instance, run.strategy, _BranchDraws(self.stack, tape), run.step_limit)

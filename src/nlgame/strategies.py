@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import itertools
 from fractions import Fraction
-from math import ceil, log2
+from math import ceil, comb, log2
 from typing import Callable, Iterable
 
 from .games import Action, GameInstance, Inbox, ProtocolViolation, Strategy
@@ -338,30 +338,35 @@ def strategy_from_name(name: str, n: int) -> Strategy:
 # Exact certainty sweeps.  These recompute, through outcome_probability and
 # with no sampling, the joint probability of every measurement branch the
 # quantum strategies can take, so "never loses" is an exact statement.
+# The GHZ state is invariant under any permutation of its qubits, the
+# remaining players all measure diagonally and the chosen ones all measure
+# in the basis the hint parity sets, so a branch's probability depends only
+# on the weight w of the remaining outcomes and the weight t of the chosen
+# outputs.  Each (w, t) class is weighed once, on its first member, and
+# counted C(n - k, w) times: (n - k + 1) engine calls per output weight.
 
-def _weigh(
-    n: int, chosen: tuple[int, ...], outputs: Iterable[tuple[int, ...]]
-) -> dict[tuple[int, ...], Fraction]:
-    """Exact probability that the chosen players output each tuple in ``outputs``."""
+def _weigh(n: int, chosen: tuple[int, ...], weights: Iterable[int]) -> dict[int, Fraction]:
+    """Exact probability that the chosen players output one given tuple of
+    each weight in ``weights`` (every tuple of a weight has the same one)."""
     ghz = make_ghz(n)
     rest = [q for q in range(1, n + 1) if q not in chosen]
-    mass = dict.fromkeys(outputs, Fraction(0))
-    for outcomes in itertools.product((0, 1), repeat=len(rest)):
+    mass = dict.fromkeys(weights, Fraction(0))
+    for w in range(len(rest) + 1):
         # the leader broadcasts the parity of these outcomes as the hint
-        basis = MeasBasis.DIAGONAL if sum(outcomes) % 2 else MeasBasis.CIRCULAR
-        base = [(q, MeasBasis.DIAGONAL, m) for q, m in zip(rest, outcomes)]
-        for outs in mass:
-            mass[outs] += outcome_probability(
-                ghz, base + [(c, basis, o) for c, o in zip(chosen, outs)]
-            )
+        basis = MeasBasis.DIAGONAL if w % 2 else MeasBasis.CIRCULAR
+        base = [(q, MeasBasis.DIAGONAL, int(i < w)) for i, q in enumerate(rest)]
+        ways = comb(len(rest), w)
+        for t in mass:
+            outs = [(c, basis, int(j < t)) for j, c in enumerate(chosen)]
+            mass[t] += ways * outcome_probability(ghz, base + outs)
     return mass
 
 
 def _even_parity_mass(n: int, chosen: tuple[int, ...]) -> Fraction:
-    # only the even-parity tuples are weighed: half the outcome_probability calls
-    heads = itertools.product((0, 1), repeat=len(chosen) - 1)
-    even = [head + (sum(head) % 2,) for head in heads]
-    return sum(_weigh(n, chosen, even).values(), Fraction(0))
+    # only the even output weights are weighed: about half the engine calls
+    k = len(chosen)
+    mass = _weigh(n, chosen, range(0, k + 1, 2))
+    return sum((comb(k, t) * m for t, m in mass.items()), Fraction(0))
 
 
 def simple_strategy_losing_mass(n: int, pair: tuple[int, int]) -> Fraction:
@@ -384,4 +389,7 @@ def general_strategy_output_distribution(
     n: int, chosen: tuple[int, ...]
 ) -> dict[tuple[int, ...], Fraction]:
     """Exact marginal distribution of the chosen players' output tuple."""
-    return _weigh(n, chosen, itertools.product((0, 1), repeat=len(chosen)))
+    mass = _weigh(n, chosen, range(len(chosen) + 1))
+    return {
+        outs: mass[sum(outs)] for outs in itertools.product((0, 1), repeat=len(chosen))
+    }

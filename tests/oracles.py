@@ -11,8 +11,10 @@ itself mid-run, the subset-parity condition
 is re-derived with an incremental Gray-code walk over all 2^n subsets
 instead of elimination and a walk over the kernel, the
 classical pair-game bound is brute-forced over raw per-player response
-assignments instead of class-size profiles, and a broadcast's bit cost is
-checked against its encoded wire form, which the library only counts.
+assignments instead of class-size profiles, the certainty sweep weighs
+every measurement branch instead of one per symmetry class, and a
+broadcast's bit cost is checked against its encoded wire form, which the
+library only counts.
 Clarity beats speed; these only run at small sizes.
 """
 
@@ -308,6 +310,29 @@ def forking_tape_branches(instance, strategy, run_game):
         draws = _ForkingTape(stack.pop(), stack)
         result = run_game(instance, strategy, draws)
         yield result, draws.probability
+
+
+def branch_sweep(
+    n: int, chosen, probability, hint_basis=lambda hint: "diagonal" if hint else "circular"
+) -> dict:
+    """Distribution of the chosen players' output tuple under the GHZ
+    strategy, weighed branch by branch.
+
+    Every one of the 2^(n - k) outcome tuples of the remaining players,
+    who measure diagonally, is paired with every output tuple of the k
+    chosen players, who measure in ``hint_basis(hint)`` for the hint
+    (the parity of the remaining outcomes).  ``probability`` gives the
+    joint probability of a list of ``(qubit, basis name, outcome)`` steps
+    from the n-qubit GHZ state.  No symmetry is used.
+    """
+    rest = [q for q in range(1, n + 1) if q not in chosen]
+    dist = dict.fromkeys(itertools.product((0, 1), repeat=len(chosen)), Fraction(0))
+    for outcomes in itertools.product((0, 1), repeat=len(rest)):
+        basis = hint_basis(sum(outcomes) % 2)
+        base = [(q, "diagonal", m) for q, m in zip(rest, outcomes)]
+        for outs in dist:
+            dist[outs] += probability(base + [(c, basis, o) for c, o in zip(chosen, outs)])
+    return dist
 
 
 def gray_subset_condition(vectors) -> bool:

@@ -6,6 +6,7 @@ oracle at sizes where re-deriving the joint distribution is cheap.
 """
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -31,8 +32,9 @@ from nlgame import (
     simple_strategy_losing_mass,
     strategy_from_name,
 )
+from nlgame import strategies
 from nlgame.games import fold_runs
-from nlgame.qsim import MeasBasis
+from nlgame.qsim import QUBIT_CAP, MeasBasis, make_ghz, outcome_probability
 
 A0 = ClassicalAtomStrategy.CONST0
 A1 = ClassicalAtomStrategy.CONST1
@@ -255,6 +257,65 @@ def test_output_distribution_matches_symbolic_oracle():
                 steps += [(c, basis, o) for c, o in zip(chosen, outs)]
                 expected += oracles.sequence_probability(n, steps)
             assert mass == expected
+
+
+_BASES = {"diagonal": MeasBasis.DIAGONAL, "circular": MeasBasis.CIRCULAR}
+
+
+def _engine_probability(n):
+    ghz = make_ghz(n)
+    return lambda steps: outcome_probability(ghz, [(q, _BASES[b], o) for q, b, o in steps])
+
+
+def _even_mass(dist):
+    return sum((m for outs, m in dist.items() if sum(outs) % 2 == 0), Fraction(0))
+
+
+def _some_sets(n, k):
+    combos = list(itertools.combinations(range(1, n + 1), k))
+    return sorted({combos[0], combos[len(combos) // 2], combos[-1]})
+
+
+def test_weight_class_sweep_matches_the_branch_sweep():
+    # every output tuple, every k from 1 to n, three chosen sets per k
+    for n in range(2, 9):
+        probability = _engine_probability(n)
+        for k in range(1, n + 1):
+            for chosen in _some_sets(n, k):
+                branches = oracles.branch_sweep(n, chosen, probability)
+                assert general_strategy_output_distribution(n, chosen) == branches
+                assert strategies._even_parity_mass(n, chosen) == _even_mass(branches)
+                # the hint parity flipped: a comparison that can fail
+                flipped = oracles.branch_sweep(
+                    n, chosen, probability, lambda hint: "circular" if hint else "diagonal"
+                )
+                assert (flipped == branches) == (k % 4 == 0)
+    # a nonzero control: four chosen players of eight split evenly
+    control = oracles.branch_sweep(8, (1, 2, 3, 4), _engine_probability(8))
+    assert strategies._even_parity_mass(8, (1, 2, 3, 4)) == _even_mass(control) == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("k, budget", [(2, 20), (6, 24), (10, 12)])
+def test_even_parity_mass_makes_one_engine_call_per_weight_class(monkeypatch, k, budget):
+    # (n - k + 1) remaining weights times floor(k / 2) + 1 even output weights
+    calls = []
+    weigh = strategies.outcome_probability
+    monkeypatch.setattr(
+        strategies, "outcome_probability", lambda *args: calls.append(1) or weigh(*args)
+    )
+    assert strategies._even_parity_mass(11, tuple(range(1, k + 1))) == 0
+    assert len(calls) == budget
+    calls.clear()
+    general_strategy_output_distribution(11, tuple(range(1, k + 1)))
+    assert len(calls) == (11 - k + 1) * (k + 1)
+
+
+def test_every_pair_weighs_zero_at_the_register_cap():
+    # 38 engine calls per pair; a 2^19-branch sweep per pair cannot meet the budget
+    start = time.perf_counter()
+    for pair in itertools.combinations(range(1, QUBIT_CAP + 1), 2):
+        assert simple_strategy_losing_mass(QUBIT_CAP, pair) == Fraction(0)
+        assert time.perf_counter() - start < 30.0
 
 
 def test_runs_win_with_one_hint_bit():
