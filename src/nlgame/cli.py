@@ -412,9 +412,7 @@ def _check_transcripts(n: int) -> tuple[bool, str, dict]:
 
 def _check_labeling(n: int) -> tuple[bool, str]:
     width = max(1, (n - 1).bit_length())
-    max_bits, all_won = broadcast_complexity(
-        make_general_game(n), classical_label_strategy(n), "exhaustive"
-    )
+    max_bits, all_won = broadcast_complexity(make_general_game(n), classical_label_strategy(n))
     if not (all_won and max_bits == width):
         return False, f"expected wins at {width} bits, got max {max_bits}"
     return True, f"wins every instance at exactly {width} broadcast bits"

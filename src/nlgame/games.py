@@ -38,9 +38,7 @@ __all__ = [
     "STEP_LIMIT_DEFAULT",
     "ProtocolViolation",
     "StepLimitExceeded",
-    "TapeExhausted",
     "SplitMix64",
-    "TapeDraws",
     "Grouping",
     "GameInstance",
     "GameSpec",
@@ -74,14 +72,6 @@ class ProtocolViolation(RuntimeError):
 
 class StepLimitExceeded(RuntimeError):
     """The run did not halt within the step limit."""
-
-
-class TapeExhausted(Exception):
-    """A forced-outcome tape ran out at a genuine branch point."""
-
-    def __init__(self, p_zero: Fraction) -> None:
-        super().__init__(f"tape exhausted at branch with p_zero={p_zero}")
-        self.p_zero = p_zero
 
 
 class SplitMix64:
@@ -136,42 +126,6 @@ class SplitMix64:
         if num <= 0:
             return 1
         return 0 if self.next64() * den < num << 64 else 1  # u / 2**64 < p_zero
-
-
-class TapeDraws:
-    """Replays a fixed outcome tape; raises TapeExhausted past its end.
-
-    Certain outcomes (p_zero 0 or 1) never consume tape, matching
-    SplitMix64.draw, so a tape enumerates exactly the genuine branch
-    points of a run.  (enumerate_branches forks the run itself instead.)
-    """
-
-    __slots__ = ("_tape", "_pos", "_num", "_den")
-
-    def __init__(self, tape: Sequence[int] = ()) -> None:
-        self._tape = tuple(tape)
-        self._pos = 0
-        self._num = self._den = 1  # joint probability of the tape bits drawn so far
-
-    def _past_end(self, p_zero: Fraction) -> None:
-        raise TapeExhausted(p_zero)
-
-    def draw(self, p_zero: Fraction) -> int:
-        num, den = p_zero.numerator, p_zero.denominator
-        if num >= den:
-            return 0
-        if num <= 0:
-            return 1
-        if self._pos >= len(self._tape):
-            self._past_end(p_zero)
-        bit = self._tape[self._pos]
-        self._pos += 1
-        self._num *= num if bit == 0 else den - num
-        self._den *= den
-        return bit
-
-    def branch_probability(self) -> Fraction:
-        return Fraction(self._num, self._den)
 
 
 @dataclass(frozen=True)
@@ -598,38 +552,52 @@ def run_game(
     return _Run(instance, strategy, draws, step_limit).play()
 
 
-class _BranchDraws(TapeDraws):
-    """Draw source of one run of :func:`enumerate_branches`: past its tape,
-    each genuine draw takes outcome 1 and stacks the run that takes 0.
-    A run copied at a draw starts from the tape position and probability
-    reached there."""
+class _BranchDraws:
+    """Draw source of one run of :func:`enumerate_branches`.
 
-    __slots__ = ("run", "stack", "act", "fresh")
+    It replays its tape at genuine draws; certain outcomes (p_zero 0 or 1)
+    use no tape, as in :meth:`SplitMix64.draw`.  Past the tape each genuine
+    draw takes outcome 1 and stacks the run that takes 0.  A run copied at
+    a draw starts from the tape position and probability reached there.
+    """
+
+    __slots__ = ("run", "stack", "tape", "pos", "num", "den", "act")
 
     def __init__(self, stack: list[_Run], tape: tuple[int, ...] = (), prefix=(0, 1, 1)) -> None:
-        super().__init__(tape)
-        self._pos, self._num, self._den = prefix  # tape position, probability num/den
         self.run: _Run | None = None
         self.stack = stack
+        self.tape = tape
+        self.pos, self.num, self.den = prefix  # tape position, probability num/den
         self.act: tuple[int, int] | None = None  # (step, seat) of the last draw
-        self.fresh = False  # whether the current draw, certain or not, is its act's first
 
     def draw(self, p_zero: Fraction) -> int:
-        act = (self.run.step, self.run.seat)
-        self.fresh, self.act = act != self.act, act
-        return super().draw(p_zero)
-
-    def _past_end(self, p_zero: Fraction) -> None:
-        run, tape = self.run, self._tape + (0,)
-        if self.fresh:
-            # the act has changed nothing yet, so a copy of the run replays
-            # it from its start
-            fork = run.fork(_BranchDraws(self.stack, tape, (self._pos, self._num, self._den)))
-        else:
-            # a later draw of the act, whose start no copy keeps: replay from the root
-            fork = _Run(run.instance, run.strategy, _BranchDraws(self.stack, tape), run.step_limit)
-        self.stack.append(fork)
-        self._tape += (1,)
+        run = self.run
+        act = (run.step, run.seat)
+        # whether this draw, certain or not, is its act's first
+        fresh, self.act = act != self.act, act
+        num, den = p_zero.numerator, p_zero.denominator
+        if num >= den:
+            return 0
+        if num <= 0:
+            return 1
+        pos = self.pos
+        if pos == len(self.tape):
+            tape = self.tape + (0,)
+            if fresh:
+                # the act has changed nothing yet, so a copy of the run
+                # replays it from its start
+                fork = run.fork(_BranchDraws(self.stack, tape, (pos, self.num, self.den)))
+            else:
+                # a later draw of the act, whose start no copy keeps: replay from the root
+                draws = _BranchDraws(self.stack, tape)
+                fork = _Run(run.instance, run.strategy, draws, run.step_limit)
+            self.stack.append(fork)
+            self.tape += (1,)
+        bit = self.tape[pos]
+        self.pos = pos + 1
+        self.num *= num if bit == 0 else den - num
+        self.den *= den
+        return bit
 
 
 def enumerate_branches(
@@ -653,10 +621,12 @@ def enumerate_branches(
     """
     stack: list[_Run] = []
     draws = _BranchDraws(stack)
-    yield run_game(instance, strategy, draws, step_limit=step_limit), draws.branch_probability()
+    result = run_game(instance, strategy, draws, step_limit=step_limit)
+    yield result, Fraction(draws.num, draws.den)
     while stack:
         run = stack.pop()
-        yield run.play(), run.draws.branch_probability()
+        result = run.play()
+        yield result, Fraction(run.draws.num, run.draws.den)
 
 
 def check_strategy_fits(spec: GameSpec, strategy: Strategy) -> None:
@@ -704,29 +674,8 @@ def fold_runs(
     return masses, bits, all_won
 
 
-def broadcast_complexity(
-    spec: GameSpec,
-    strategy: Strategy,
-    mode: str = "exhaustive",
-    *,
-    trials: int | None = None,
-    seed: int = 0,
-) -> tuple[int, bool]:
-    """(max broadcast bits, whether every executed run was won).
-
-    Exhaustive mode folds over every instance and every nonzero-probability
-    randomness branch; sampled mode runs ``trials`` seeded trials through
-    :func:`sampled_runs`, each on its own stream keyed by (seed, trial).
-    """
-    if mode == "exhaustive":
-        _, bits, all_won = fold_runs(spec, strategy)
-        return max(bits), all_won
-    if mode != "sampled":
-        raise ValueError(f"unknown mode {mode!r}")
-    if not trials or trials < 1:
-        raise ValueError("sampled mode needs trials >= 1")
-    max_bits, all_won = 0, True
-    for result in sampled_runs(spec, strategy, seed, trials):
-        max_bits = max(max_bits, result.broadcast_bits)
-        all_won = all_won and result.won
-    return max_bits, all_won
+def broadcast_complexity(spec: GameSpec, strategy: Strategy) -> tuple[int, bool]:
+    """(max broadcast bits, whether every run was won) over every instance
+    and every nonzero-probability randomness branch."""
+    _, bits, all_won = fold_runs(spec, strategy)
+    return max(bits), all_won

@@ -1,0 +1,190 @@
+"""Mutation check: every seeded mutant must make a test fail.
+
+Each mutant is one exact text edit to a source file, meant to break a
+behaviour the tests claim to check.  For each one this script copies
+``src``, ``tests`` and ``README.md`` to a temporary directory, applies the
+edit there (stopping with an error unless the target text occurs exactly
+once), and runs the mutant's test files with ``PYTHONPATH`` set to the
+copy, one pytest at a time, stopping at the first failure.  A mutant whose
+tests fail is killed; one whose tests pass survived.  The unmutated copy
+runs every named test file first, so a kill means the edit broke a test.
+
+Run it from anywhere, with the standard library and pytest:
+
+    python3 tests/mutants.py
+
+It exits 0 when every mutant is killed, 1 when one survived or the
+unmutated tests fail, and 2 when a target text is not found exactly once.
+pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+GAMES = "src/nlgame/games.py"
+CLI = "src/nlgame/cli.py"
+TEST_GAMES = "tests/test_games.py"
+TEST_CLI = "tests/test_cli.py"
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # the edited file, relative to the repository root
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "walk: a certain draw uses tape",
+        GAMES,
+        "        if num >= den:\n            return 0\n"
+        "        if num <= 0:\n            return 1\n        pos = self.pos\n",
+        "        pos = self.pos\n",
+        (TEST_GAMES,),
+    ),
+    Mutant(
+        "walk: a fork restarts its probability at 1",
+        GAMES,
+        "(pos, self.num, self.den)",
+        "(pos, 1, 1)",
+        (TEST_GAMES,),
+    ),
+    Mutant(
+        "walk: the stacked branch takes 1",
+        GAMES,
+        "tape = self.tape + (0,)",
+        "tape = self.tape + (1,)",
+        (TEST_GAMES,),
+    ),
+    Mutant(
+        "walk: always copy",
+        GAMES,
+        "            if fresh:",
+        "            if True:",
+        (TEST_GAMES,),
+    ),
+    Mutant(
+        "walk: always replay from the root",
+        GAMES,
+        "            if fresh:",
+        "            if False:",
+        (TEST_GAMES,),
+    ),
+    Mutant(
+        "SplitMix64: a certain draw takes a word",
+        GAMES,
+        '        """0 with probability p_zero; certain outcomes consume no randomness."""\n',
+        '        """0 with probability p_zero; certain outcomes consume no randomness."""\n'
+        "        self.next64()\n",
+        (TEST_GAMES,),
+    ),
+    Mutant(
+        "SplitMix64: stream adds its index",
+        GAMES,
+        "rng.next64() ^ index",
+        "rng.next64() + index",
+        (TEST_GAMES,),
+    ),
+    Mutant(
+        "verify: no lower bound on a certainty check's bits",
+        CLI,
+        "min_bits <= min(fold.bits) and ",
+        "",
+        (TEST_CLI,),
+    ),
+    Mutant(
+        "verify: no upper bound on a certainty check's bits",
+        CLI,
+        " and max(fold.bits) <= 1",
+        "",
+        (TEST_CLI,),
+    ),
+    Mutant(
+        "verify: the labeling check ignores its bits",
+        CLI,
+        "all_won and max_bits == width",
+        "all_won",
+        (TEST_CLI,),
+    ),
+    Mutant(
+        "sweep: the hint parity is flipped",
+        "src/nlgame/strategies.py",
+        "MeasBasis.DIAGONAL if w % 2 else",
+        "MeasBasis.DIAGONAL if w % 2 == 0 else",
+        ("tests/test_strategies.py",),
+    ),
+    Mutant(
+        "kernel walk: every even subset fails",
+        "src/nlgame/bounds.py",
+        "subset.bit_count() % 4 == 2",
+        "subset.bit_count() % 2 == 0",
+        ("tests/test_bounds.py",),
+    ),
+)
+
+
+def copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy2(ROOT / "README.md", dest / "README.md")
+
+
+def mutated(mutant: Mutant) -> str:
+    """The text of ``mutant.path`` with the mutant's edit applied."""
+    text = (ROOT / mutant.path).read_text()
+    count = text.count(mutant.old)
+    if count != 1:
+        print(f"mutants: {mutant.name}: target occurs {count} times in {mutant.path}",
+              file=sys.stderr)
+        sys.exit(2)
+    return text.replace(mutant.old, mutant.new)
+
+
+def tests_pass(tree: Path, tests) -> bool:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    done = subprocess.run(command, cwd=tree, env=env, capture_output=True)
+    return done.returncode == 0
+
+
+def main() -> int:
+    texts = [mutated(mutant) for mutant in MUTANTS]  # every target before any run
+    with tempfile.TemporaryDirectory(prefix="nlgame-mutants-") as scratch:
+        base = Path(scratch) / "base"
+        copy_tree(base)
+        files = sorted({f for mutant in MUTANTS for f in mutant.tests})
+        start = time.perf_counter()
+        if not tests_pass(base, files):
+            print(f"mutants: the unmutated tests fail: {' '.join(files)}", file=sys.stderr)
+            return 1
+        print(f"unmutated  {time.perf_counter() - start:5.1f} s  {' '.join(files)} pass")
+        survived = 0
+        for mutant, text in zip(MUTANTS, texts):
+            tree = Path(scratch) / "mutant"
+            copy_tree(tree)
+            (tree / mutant.path).write_text(text)
+            start = time.perf_counter()
+            killed = not tests_pass(tree, mutant.tests)
+            survived += not killed
+            verdict = "killed  " if killed else "SURVIVED"
+            print(f"{verdict}   {time.perf_counter() - start:5.1f} s  {mutant.name}", flush=True)
+            shutil.rmtree(tree)
+    print(f"{len(MUTANTS) - survived} of {len(MUTANTS)} mutants killed")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -244,7 +244,7 @@ class _TapeEnd(Exception):
     """A replayed tape ran out at a genuine branch point."""
 
 
-class _ReplayTape:
+class ReplayTape:
     """Draw source that replays fixed outcome bits at genuine branch points
     and multiplies the probability of each bit it hands out."""
 
@@ -274,7 +274,7 @@ def replay_branches(instance, strategy, run_game):
     stack = [()]
     while stack:
         tape = stack.pop()
-        draws = _ReplayTape(tape)
+        draws = ReplayTape(tape)
         try:
             result = run_game(instance, strategy, draws)
         except _TapeEnd:
@@ -283,7 +283,7 @@ def replay_branches(instance, strategy, run_game):
         yield result, draws.probability
 
 
-class _ForkingTape(_ReplayTape):
+class _ForkingTape(ReplayTape):
     """Replays its tape, then takes outcome 1 at each genuine branch point
     and puts the tape that takes 0 there on the ``pending`` stack."""
 

@@ -305,6 +305,30 @@ def test_verify_fails_only_the_parity_check_when_the_full_set_loses(
     assert _certainty_details(out)[1][1] == "expected <= 1 broadcast bit and wins, got max 1"
 
 
+@pytest.mark.parametrize("bits", [0, 2])
+@pytest.mark.parametrize("n", [5, 9])
+def test_verify_bounds_the_broadcast_bits_of_every_run(n, bits, capsys, monkeypatch):
+    # the pair check allows exactly 1 bit, the parity check at most 1 and
+    # the labeling check exactly ceil(log2 n)
+    monkeypatch.setattr("nlgame.games.RunResult.broadcast_bits", property(lambda r: bits))
+    code, out, err = run_cli(["verify", "--n", str(n), "--format", "json"], capsys)
+    checks = {c["name"]: (c["status"], c["detail"]) for c in json.loads(out)["checks"]}
+    assert code == 1
+    parity = "general-quantum-certainty, " if bits else ""
+    assert err == f"failed checks: simple-quantum-certainty, {parity}labeling-universality\n"
+    assert checks["simple-quantum-certainty"] == (
+        "fail", f"expected 1 broadcast bit and wins, got max {bits} bits"
+    )
+    assert (checks["general-quantum-certainty"][0] == "fail") == (bits > 1)
+    if bits:
+        assert checks["general-quantum-certainty"][1] == (
+            f"expected <= 1 broadcast bit and wins, got max {bits}"
+        )
+    assert checks["labeling-universality"] == (
+        "fail", f"expected wins at {(n - 1).bit_length()} bits, got max {bits}"
+    )
+
+
 def test_verify_runs_are_byte_identical(capsys):
     results = [
         run_cli(["verify", "--n", "4", "--seed", "42", "--format", fmt], capsys)

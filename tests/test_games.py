@@ -21,8 +21,6 @@ from nlgame import (
     SplitMix64,
     StepLimitExceeded,
     Strategy,
-    TapeDraws,
-    TapeExhausted,
     broadcast_complexity,
     enumerate_branches,
     make_general_game,
@@ -55,6 +53,19 @@ def test_splitmix64_reference_values():
     ]
 
 
+def test_keyed_stream_reference_values():
+    # seeded play and verify --n >= 9 draw from keyed streams, so their
+    # words are pinned like the generator's
+    expected = {
+        (42, 0): [0x57E1FABA65107204, 0xF4ABD143FEB24055],
+        (42, 1): [0xF34FE9248C9342E5, 0xC2947C5DA2903BFA],
+        (7, 2, 3): [0xAB03565EDCB53BCF, 0xFE1A380275FBEA46],
+    }
+    for key, words in expected.items():
+        r = SplitMix64.stream(*key)
+        assert [r.next64(), r.next64()] == words, key
+
+
 def test_keyed_streams_do_not_overlap_across_seeds():
     # seed + index keys made (seed 42, index 1) replay (seed 43, index 0)
     first = [
@@ -85,16 +96,13 @@ def test_below_is_roughly_uniform():
 
 
 def test_draw_certain_outcomes_consume_no_randomness():
-    tape = TapeDraws(())
-    assert tape.draw(Fraction(1)) == 0
-    assert tape.draw(Fraction(0)) == 1
-    assert tape.branch_probability() == 1
+    fresh = SplitMix64(5)
+    fresh.next64()
     rng = SplitMix64(5)
-    state_before = rng.next64()
-    rng2 = SplitMix64(5)
-    rng2.next64()
-    assert rng2.draw(Fraction(1)) == 0
-    assert rng2.next64() != state_before  # stream continues where it was
+    rng.next64()
+    assert rng.draw(Fraction(1)) == 0
+    assert rng.draw(Fraction(0)) == 1
+    assert rng.next64() == fresh.next64()  # the stream's second word
 
 
 def test_draw_matches_probability_statistically():
@@ -138,16 +146,6 @@ def test_draw_integer_comparison_matches_fractions():
     for p_zero, u in pairs:
         if 0 < p_zero < 1:
             assert _FixedDraw(u).draw(p_zero) == _fraction_draw(u, p_zero), (u, p_zero)
-
-
-def test_tape_replay_and_exhaustion():
-    tape = TapeDraws((1, 0))
-    assert tape.draw(Fraction(1, 2)) == 1
-    assert tape.draw(Fraction(1, 4)) == 0
-    with pytest.raises(TapeExhausted) as info:
-        tape.draw(Fraction(1, 3))
-    assert info.value.p_zero == Fraction(1, 3)
-    assert tape.branch_probability() == Fraction(1, 2) * Fraction(1, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +300,7 @@ class _LoiterStrategy(Strategy):
 def test_step_limit_enforced():
     instance = make_simple_game(3).instances[0]
     with pytest.raises(StepLimitExceeded):
-        run_game(instance, _LoiterStrategy(3), TapeDraws(()), step_limit=5)
+        run_game(instance, _LoiterStrategy(3), oracles.ReplayTape(()), step_limit=5)
 
 
 class _DoubleOutput(Strategy):
@@ -328,7 +326,7 @@ class _DoubleOutput(Strategy):
 def test_second_output_in_a_group_is_a_violation():
     instance = make_simple_game(4).instances[0]
     with pytest.raises(ProtocolViolation):
-        run_game(instance, _DoubleOutput(4), TapeDraws(()))
+        run_game(instance, _DoubleOutput(4), oracles.ReplayTape(()))
 
 
 class _InboxProbe(Strategy):
@@ -358,7 +356,7 @@ def test_chosen_players_never_learn_the_instance():
     spec = make_simple_game(5)
     for instance in spec.instances:
         probe = _InboxProbe(5)
-        run_game(instance, probe, TapeDraws(()))
+        run_game(instance, probe, oracles.ReplayTape(()))
         for i in range(1, 6):
             inboxes = probe.seen[i]
             assert len(inboxes) == 1
@@ -416,7 +414,7 @@ def _routing_instance():
 
 def test_messages_are_routed_from_the_step_records():
     probe = _RoutingProbe()
-    result = run_game(_routing_instance(), probe, TapeDraws(()))
+    result = run_game(_routing_instance(), probe, oracles.ReplayTape(()))
     broadcasts = ((0, "01"), (2, "010"), (3, "011"), (5, "101"))
     group_messages = {
         1: ((2, "010"),),
@@ -448,7 +446,8 @@ def _transcripts():
     for instance in make_general_game(6).instances:
         for result, _ in enumerate_branches(instance, label):
             yield result.transcript
-    yield run_game(_routing_instance(), _RoutingProbe(), TapeDraws(())).transcript
+    draws = oracles.ReplayTape(())
+    yield run_game(_routing_instance(), _RoutingProbe(), draws).transcript
 
 
 def test_every_recorded_step_is_prefix_decodable():
@@ -470,7 +469,7 @@ def test_every_recorded_step_is_prefix_decodable():
 def test_wrong_arity_strategy_rejected():
     instance = make_simple_game(4).instances[0]
     with pytest.raises(ValueError):
-        run_game(instance, _LoiterStrategy(5), TapeDraws(()))
+        run_game(instance, _LoiterStrategy(5), oracles.ReplayTape(()))
 
 
 def test_run_is_deterministic_given_seed():
@@ -581,17 +580,18 @@ def test_enumerate_branches_runs_each_leaf_once(monkeypatch):
 
 class _DoubleDraw(Strategy):
     """Each chosen player draws in step 1 a certain 1 (p_zero = 0) and
-    twice genuinely, at p_zero = 1/4 and then 3/4; it keeps its draws in a
-    list and outputs their parity.  The lower chosen player draws its
+    twice genuinely, at p_zero = ``p1`` and then ``p2``; it keeps its draws
+    in a list and outputs their parity.  The lower chosen player draws its
     certain 1 first and the higher one last, so only the higher one's acts
     are copied.  The remaining players halt.  A player's fork draws from
     the source its own source is mapped to, on a copy of the list."""
 
-    def __init__(self, n):
-        self.n = n
+    def __init__(self, n, p1, p2):
+        self.n, self.p1, self.p2 = n, p1, p2
 
     def make_players(self, instance, draws):
         chosen = set(instance.chosen)
+        p1, p2 = self.p1, self.p2
 
         class P:
             def __init__(self, i):
@@ -605,8 +605,8 @@ class _DoubleDraw(Strategy):
                 certain_first = self.i == min(chosen)
                 if certain_first:
                     self.drawn.append(self.draws.draw(Fraction(0)))
-                self.drawn.append(self.draws.draw(Fraction(1, 4)))
-                self.drawn.append(self.draws.draw(Fraction(3, 4)))
+                self.drawn.append(self.draws.draw(p1))
+                self.drawn.append(self.draws.draw(p2))
                 if not certain_first:
                     self.drawn.append(self.draws.draw(Fraction(0)))
                 return Action(output=str(sum(self.drawn) % 2), halt=True)
@@ -622,36 +622,28 @@ class _DoubleDraw(Strategy):
 def test_enumerate_branches_forks_acts_that_draw_twice():
     # a fork at an act's second genuine draw must replay the act's first
     # outcome, a fork after the act's certain draw must not keep it twice,
-    # and a copy taken at an act's first draw must not share its lists
+    # and a copy taken at an act's first draw must not share its lists.
+    # A chosen player's genuine draws agree with probability
+    # q = p1 p2 + (1 - p1)(1 - p2), and the pair wins when exactly one
+    # player's do: 2 q (1 - q), which is 15/32 for the dyadic (1/4, 3/4)
+    # and 112/225 for (1/3, 2/5)
     spec = make_simple_game(4)
-    strategy = _DoubleDraw(4)
-    for instance in spec.instances:
-        walk = list(itertools.islice(enumerate_branches(instance, strategy), 17))
-        assert len(walk) == 16
-        assert walk == list(oracles.replay_branches(instance, strategy, run_game))
-    # a chosen player outputs 1 when its genuine draws agree, with
-    # probability 1/4 * 3/4 + 3/4 * 1/4 = 3/8, and the pair wins when
-    # exactly one of them does: 2 * 3/8 * 5/8
-    masses, bits, all_won = fold_runs(spec, strategy)
-    assert masses == [Fraction(15, 32)] * 6
-    assert bits == {0} and not all_won
+    for p1, p2, mass in (
+        (Fraction(1, 4), Fraction(3, 4), Fraction(15, 32)),
+        (Fraction(1, 3), Fraction(2, 5), Fraction(112, 225)),
+    ):
+        strategy = _DoubleDraw(4, p1, p2)
+        for instance in spec.instances:
+            walk = list(itertools.islice(enumerate_branches(instance, strategy), 17))
+            assert len(walk) == 16
+            assert walk == list(oracles.replay_branches(instance, strategy, run_game))
+        masses, bits, all_won = fold_runs(spec, strategy)
+        assert masses == [mass] * 6
+        assert bits == {0} and not all_won
 
 
 def test_broadcast_complexity_exhaustive():
-    assert broadcast_complexity(
-        make_simple_game(6), quantum_simple_strategy(6), "exhaustive"
-    ) == (1, True)
-
-
-def test_broadcast_complexity_sampled_and_errors():
-    spec = make_simple_game(5)
-    strategy = quantum_simple_strategy(5)
-    bits, won = broadcast_complexity(spec, strategy, "sampled", trials=40, seed=11)
-    assert (bits, won) == (1, True)
-    with pytest.raises(ValueError):
-        broadcast_complexity(spec, strategy, "sampled")
-    with pytest.raises(ValueError):
-        broadcast_complexity(spec, strategy, "census")
+    assert broadcast_complexity(make_simple_game(6), quantum_simple_strategy(6)) == (1, True)
 
 
 class _Silent(Strategy):
@@ -667,9 +659,7 @@ class _Silent(Strategy):
 
 
 def test_silent_strategy_loses_without_broadcasting():
-    assert broadcast_complexity(
-        make_simple_game(4), _Silent(4), "exhaustive"
-    ) == (0, False)
+    assert broadcast_complexity(make_simple_game(4), _Silent(4)) == (0, False)
 
 
 @pytest.mark.parametrize("atoms", ["0,1,b,nb,0,1", "0,1,b,nb,0,1,b"])
@@ -681,8 +671,6 @@ def test_pair_only_strategy_is_refused_before_any_run(atoms):
     strategy = strategy_from_name(f"classical-atoms:{atoms}", n)
     with pytest.raises(ValueError, match="chosen pairs only"):
         broadcast_complexity(spec, strategy)
-    with pytest.raises(ValueError, match="chosen pairs only"):
-        broadcast_complexity(spec, strategy, "sampled", trials=5)
     with pytest.raises(ValueError, match="chosen pairs only"):
         fold_runs(spec, strategy)
     with pytest.raises(ValueError, match="chosen pairs only"):

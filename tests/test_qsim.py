@@ -21,7 +21,6 @@ from nlgame import (
     MeasBasis,
     SplitMix64,
     StateVector,
-    TapeDraws,
     enumerate_branches,
     make_ghz,
     make_simple_game,
@@ -142,7 +141,7 @@ def basis_state(basis: MeasBasis, bit: int) -> StateVector:
     """
     zero = StateVector(1, [ExactAmplitude(1), ExactAmplitude(0)])
     start = make_ghz(1) if basis is Z else zero
-    outcome, state, p = measure_qubit(start, 1, basis, TapeDraws((bit,)))
+    outcome, state, p = measure_qubit(start, 1, basis, oracles.ReplayTape((bit,)))
     assert (outcome, p) == (bit, Fraction(1, 2))
     return state
 
@@ -162,7 +161,7 @@ def test_basis_states_are_normalized():
 def test_frozen_collapse_diagonal():
     # measuring qubit 3 of GHZ(3) diagonally with outcome 0 leaves
     # (|00> + |11>)/sqrt2 on qubits 1,2 with qubit 3 in f0
-    outcome, state, p = measure_qubit(make_ghz(3), 3, D, TapeDraws((0,)))
+    outcome, state, p = measure_qubit(make_ghz(3), 3, D, oracles.ReplayTape((0,)))
     assert (outcome, p) == (0, Fraction(1, 2))
     assert state.dump_lines() == [
         "000 1 0 2",
@@ -174,7 +173,7 @@ def test_frozen_collapse_diagonal():
 
 
 def test_frozen_collapse_circular():
-    outcome, state, p = measure_qubit(make_ghz(3), 1, C, TapeDraws((1,)))
+    outcome, state, p = measure_qubit(make_ghz(3), 1, C, oracles.ReplayTape((1,)))
     assert (outcome, p) == (1, Fraction(1, 2))
     assert state.dump_lines() == [
         "000 1 0 2",
@@ -187,7 +186,7 @@ def test_frozen_collapse_circular():
 
 def test_forced_branches_cover_both_outcomes():
     for forced in (0, 1):
-        outcome, state, p = measure_qubit(make_ghz(2), 1, D, TapeDraws((forced,)))
+        outcome, state, p = measure_qubit(make_ghz(2), 1, D, oracles.ReplayTape((forced,)))
         assert outcome == forced
         assert p == Fraction(1, 2)
         assert state.norm_squared() == 1
@@ -196,7 +195,7 @@ def test_forced_branches_cover_both_outcomes():
 def test_computational_measurement_is_perfectly_correlated():
     # after measuring one GHZ qubit computationally the rest are determined
     for forced in (0, 1):
-        draws = TapeDraws((forced,))
+        draws = oracles.ReplayTape((forced,))
         state = make_ghz(4)
         outcome1, state, p1 = measure_qubit(state, 2, Z, draws)
         assert p1 == Fraction(1, 2)
@@ -209,9 +208,9 @@ def test_computational_measurement_is_perfectly_correlated():
 
 def test_qubit_index_validation():
     with pytest.raises(ValueError):
-        measure_qubit(make_ghz(3), 0, D, TapeDraws((0,)))
+        measure_qubit(make_ghz(3), 0, D, oracles.ReplayTape((0,)))
     with pytest.raises(ValueError):
-        measure_qubit(make_ghz(3), 4, D, TapeDraws((0,)))
+        measure_qubit(make_ghz(3), 4, D, oracles.ReplayTape((0,)))
 
 
 def test_non_power_of_two_probability_raises():
@@ -226,7 +225,7 @@ def test_non_power_of_two_probability_raises():
         ],
     )
     with pytest.raises(ExactnessError):
-        measure_qubit(state, 1, Z, TapeDraws((0,)))
+        measure_qubit(state, 1, Z, oracles.ReplayTape((0,)))
 
 
 def _three_quarter_state():
@@ -236,21 +235,21 @@ def _three_quarter_state():
 
 
 def test_only_the_drawn_branch_must_be_a_power_of_two():
-    outcome, state, p = measure_qubit(_three_quarter_state(), 1, Z, TapeDraws((1,)))
+    outcome, state, p = measure_qubit(_three_quarter_state(), 1, Z, oracles.ReplayTape((1,)))
     assert (outcome, p) == (1, Fraction(1, 4))
     assert state.dump_lines() == ["10 1 0 0"]
     with pytest.raises(ExactnessError, match="power-of-two probability, got 3/4"):
-        measure_qubit(_three_quarter_state(), 1, Z, TapeDraws((0,)))
+        measure_qubit(_three_quarter_state(), 1, Z, oracles.ReplayTape((0,)))
 
 
 def test_branches_that_do_not_sum_to_one_raise():
     state = StateVector(1, [ExactAmplitude(1), ExactAmplitude(1)], validate_norm=False)
     with pytest.raises(ExactnessError, match="measurement branches do not sum to 1"):
-        measure_qubit(state, 1, Z, TapeDraws((0,)))
+        measure_qubit(state, 1, Z, oracles.ReplayTape((0,)))
     # a Z branch of mass 1/2 on its own, whichever outcome is drawn
     half = StateVector(1, [ExactAmplitude(1, 0, 1), ExactAmplitude(0)], validate_norm=False)
     with pytest.raises(ExactnessError, match="measurement branches do not sum to 1"):
-        measure_qubit(half, 1, Z, TapeDraws((0,)))
+        measure_qubit(half, 1, Z, oracles.ReplayTape((0,)))
 
 
 def test_mixed_scale_parity_raises_from_both_kernels():
@@ -261,7 +260,7 @@ def test_mixed_scale_parity_raises_from_both_kernels():
     with pytest.raises(ExactnessError, match="mixed sqrt2-scale parity"):
         outcome_probability(state, [(2, D, 0)])
     with pytest.raises(ExactnessError, match="mixed sqrt2-scale parity"):
-        measure_qubit(state, 2, D, TapeDraws((0,)))
+        measure_qubit(state, 2, D, oracles.ReplayTape((0,)))
 
 
 def test_collapse_matches_reference_oracle():
@@ -528,13 +527,15 @@ def _check_against_oracle(state, qubit, basis, outcome, calls, hit):
     and checks whether the split came from the table."""
     n = state.num_qubits
     calls.clear()
-    got, after, p = measure_qubit(state, qubit, basis, TapeDraws((outcome,)))
+    got, after, p = measure_qubit(state, qubit, basis, oracles.ReplayTape((outcome,)))
     assert (not calls) == hit
     ref_p, ref = oracles.measure(state_syms(state), n, qubit, basis.value, outcome)
     assert (got, p) == (outcome, ref_p)
     assert state_syms(after) == ref
     fresh = StateVector(n, state.amplitudes)  # its own table, so this one misses
-    fresh_got, fresh_after, fresh_p = measure_qubit(fresh, qubit, basis, TapeDraws((outcome,)))
+    fresh_got, fresh_after, fresh_p = measure_qubit(
+        fresh, qubit, basis, oracles.ReplayTape((outcome,))
+    )
     assert (fresh_got, fresh_after.dump_lines(), fresh_p) == (got, after.dump_lines(), p)
 
 
@@ -547,7 +548,7 @@ def test_split_table_hits_give_the_oracles_answer(monkeypatch):
     for outcomes in ((0, 1), (1, 0)):
         state = ghz
         for qubit, outcome in zip((1, 2), outcomes):
-            _, state, _ = measure_qubit(state, qubit, D, TapeDraws((outcome,)))
+            _, state, _ = measure_qubit(state, qubit, D, oracles.ReplayTape((outcome,)))
         paths.append(state)
     first, second = paths
     assert first.measured != second.measured
@@ -567,13 +568,13 @@ def test_split_table_stores_no_failure():
     state = _three_quarter_state()
     for _ in range(2):
         with pytest.raises(ExactnessError, match="power-of-two probability, got 3/4"):
-            measure_qubit(state, 1, Z, TapeDraws((0,)))
-    outcome, after, p = measure_qubit(state, 1, Z, TapeDraws((1,)))
+            measure_qubit(state, 1, Z, oracles.ReplayTape((0,)))
+    outcome, after, p = measure_qubit(state, 1, Z, oracles.ReplayTape((1,)))
     assert (outcome, p) == (1, Fraction(1, 4))
     assert after.dump_lines() == ["10 1 0 0"]
     with pytest.raises(ExactnessError, match="power-of-two probability, got 3/4"):
-        measure_qubit(state, 1, Z, TapeDraws((0,)))
+        measure_qubit(state, 1, Z, oracles.ReplayTape((0,)))
     unnormalized = StateVector(1, [ExactAmplitude(1), ExactAmplitude(1)], validate_norm=False)
     for _ in range(2):
         with pytest.raises(ExactnessError, match="measurement branches do not sum to 1"):
-            measure_qubit(unnormalized, 1, Z, TapeDraws((0,)))
+            measure_qubit(unnormalized, 1, Z, oracles.ReplayTape((0,)))

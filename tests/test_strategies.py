@@ -17,7 +17,6 @@ from nlgame import (
     ProtocolViolation,
     QuantumSharedState,
     SplitMix64,
-    TapeDraws,
     broadcast_complexity,
     classical_label_strategy,
     enumerate_branches,
@@ -84,7 +83,7 @@ def test_best_response_rule_finds_the_separating_hint():
     strategy = strategy_from_name("classical-atoms:0,1,b,nb,0", 5)
     hints = {}
     for instance in make_simple_game(5).instances:
-        result = run_game(instance, strategy, TapeDraws(()))
+        result = run_game(instance, strategy, oracles.ReplayTape(()))
         (hint,) = [r.payload for s in result.transcript.steps for r in s.broadcasts]
         hints[instance.chosen] = hint
     # copy vs negate: any hint separates them
@@ -100,7 +99,7 @@ def test_atom_assignment_runs_and_loses_only_on_equal_atoms():
     spec = make_simple_game(5)
     lost = []
     for instance in spec.instances:
-        result = run_game(instance, strategy, TapeDraws(()))
+        result = run_game(instance, strategy, oracles.ReplayTape(()))
         assert result.broadcast_bits == 1
         if not result.won:
             lost.append(instance.chosen)
@@ -111,7 +110,7 @@ def test_atom_assignment_runs_and_loses_only_on_equal_atoms():
 
 def test_all_same_atoms_lose_everywhere():
     strategy = strategy_from_name("classical-atoms:1,1,1,1,1", 5)
-    bits, won = broadcast_complexity(make_simple_game(5), strategy, "exhaustive")
+    bits, won = broadcast_complexity(make_simple_game(5), strategy)
     assert (bits, won) == (1, False)
 
 
@@ -129,7 +128,7 @@ def test_label_table_basics():
     assert classical_label_strategy(2).labels == ("0", "1")
     # the leader broadcasts the lowest chosen player's label
     instance = make_general_game(5).instances[-1]  # C = {4, 5}
-    result = run_game(instance, classical_label_strategy(5), TapeDraws(()))
+    result = run_game(instance, classical_label_strategy(5), oracles.ReplayTape(()))
     assert [r.payload for s in result.transcript.steps for r in s.broadcasts] == ["011"]
 
 
@@ -137,9 +136,7 @@ def test_labeling_strategy_wins_general_game_at_log_n_bits():
     for n in (2, 3, 4, 7, 8):
         width = max(1, (n - 1).bit_length())
         spec = make_general_game(n)
-        assert broadcast_complexity(
-            spec, classical_label_strategy(n), "exhaustive"
-        ) == (width, True)
+        assert broadcast_complexity(spec, classical_label_strategy(n)) == (width, True)
 
 
 # ---------------------------------------------------------------------------
