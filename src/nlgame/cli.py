@@ -1,11 +1,14 @@
 """Command-line front end: seeded experiments, verification, tables.
 
-Reports are deterministic given their config: no timestamps, fixed key
-order, exact rationals rendered as p/q plus a 12-significant-digit
-decimal.  The json and csv renderings carry identical numeric content;
-text is a human-oriented view of the same data.  Trials parallelize
-across processes when NLGAME_WORKERS is set, with results merged in
-trial order so the report does not depend on scheduling.
+Each subcommand's parser sets ``run`` to its ``cmd_*`` function, which
+takes the parsed arguments and echoes exactly its own options (never the
+format or output path) as the report's config.  Reports are deterministic
+given their config: no timestamps, fixed key order, exact rationals
+rendered as p/q plus a 12-significant-digit decimal.  The json and csv
+renderings carry identical numeric content; text is a human-oriented view
+of the same data.  Trials parallelize across processes when
+NLGAME_WORKERS is set, with results merged in trial order so the report
+does not depend on scheduling.
 """
 
 from __future__ import annotations
@@ -60,7 +63,6 @@ from .strategies import (
 )
 
 __all__ = [
-    "ExperimentConfig",
     "Report",
     "cmd_play",
     "cmd_verify",
@@ -97,53 +99,18 @@ def fraction_fields(value: Fraction) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    command: str
-    game: str = "simple"
-    n: int = DEFAULT_N
-    n_range: tuple[int, int] | None = None
-    strategy: str | None = None
-    mode: str = "play"
-    trials: int | None = None
-    seed: int = DEFAULT_SEED
-    output_format: str = "text"
-    output_path: str | None = None
-    max_l: int | None = None
-    family_path: str | None = None
-
-    def echo(self) -> dict:
-        out: dict = {"command": self.command, "seed": self.seed}
-        if self.command == "verify":
-            out["n"] = self.n
-        if self.command == "play":
-            out["game"] = self.game
-            out["n"] = self.n
-            out["strategy"] = self.strategy
-            out["mode"] = self.mode
-            out["trials"] = self.trials
-        if self.command == "table":
-            out["n_range"] = list(self.n_range or ())
-        if self.command == "lemma":
-            out["n"] = None if self.family_path else self.n
-            out["max_l"] = self.max_l
-            out["family"] = self.family_path
-        return out
-
-
 @dataclass
 class Report:
     config: dict
     results: dict
     checks: list = field(default_factory=list)
-    version: str = __version__
 
     def payload(self) -> dict:
         return {
             "config": self.config,
             "results": self.results,
             "checks": self.checks,
-            "version": self.version,
+            "version": __version__,
         }
 
     def failed_checks(self) -> list[str]:
@@ -167,7 +134,7 @@ class Report:
         return buf.getvalue()
 
     def _render_text(self) -> str:
-        lines = [f"nlgame report (version {self.version})", "[config]"]
+        lines = [f"nlgame report (version {__version__})", "[config]"]
         for key, value in _flatten({"": self.config}):
             lines.append(f"  {key.lstrip('.')} = {value}")
         lines.append("[results]")
@@ -223,11 +190,7 @@ def _text_table(rows: list[dict]) -> list[str]:
 # play
 
 def _build_spec(game: str, n: int) -> GameSpec:
-    if game == "simple":
-        return make_simple_game(n)
-    if game == "general":
-        return make_general_game(n)
-    raise UsageError(f"unknown game {game!r}")
+    return make_simple_game(n) if game == "simple" else make_general_game(n)
 
 
 def _default_strategy(game: str) -> str:
@@ -268,9 +231,8 @@ def ProcessPoolExecutor(max_workers: int):
     return pool(max_workers=max_workers)
 
 
-def _play_sampled(config: ExperimentConfig) -> dict:
-    trials = config.trials or 0
-    args = (config.game, config.n, config.strategy, config.seed)
+def _play_sampled(game: str, n: int, strategy_name: str, seed: int, trials: int) -> dict:
+    args = (game, n, strategy_name, seed)
     workers = min(_worker_count(), trials)
     if workers > 1:
         chunk = -(-trials // workers)
@@ -302,9 +264,7 @@ def _run_trial_block_star(block) -> tuple[int, Counter]:
     return _run_trial_block(*block)
 
 
-def _play_exhaustive(config: ExperimentConfig) -> dict:
-    spec = _build_spec(config.game, config.n)
-    strategy = strategy_from_name(config.strategy, config.n)
+def _play_exhaustive(spec: GameSpec, strategy) -> dict:
     masses, bits, all_won = fold_runs(spec, strategy)
     return {
         "instances": len(masses),
@@ -315,22 +275,26 @@ def _play_exhaustive(config: ExperimentConfig) -> dict:
     }
 
 
-def cmd_play(config: ExperimentConfig) -> Report:
-    if config.strategy is None:
-        raise UsageError("play needs a strategy")
+def cmd_play(args: argparse.Namespace) -> Report:
+    name = args.strategy or _default_strategy(args.game)
     try:
         # validates game, n and strategy before any run starts
-        spec = _build_spec(config.game, config.n)
-        check_strategy_fits(spec, strategy_from_name(config.strategy, config.n))
+        spec = _build_spec(args.game, args.n)
+        strategy = strategy_from_name(name, args.n)
+        check_strategy_fits(spec, strategy)
     except ValueError as err:
         raise UsageError(str(err)) from None
-    if config.mode == "exhaustive":
-        results = _play_exhaustive(config)
+    trials = None if args.exhaustive else args.trials
+    config = {
+        "command": "play", "seed": args.seed, "game": args.game, "n": args.n,
+        "strategy": name, "mode": "exhaustive" if args.exhaustive else "play",
+        "trials": trials,
+    }
+    if args.exhaustive:
+        results = _play_exhaustive(spec, strategy)
     else:
-        if not config.trials or config.trials < 1:
-            raise UsageError("play needs trials >= 1")
-        results = _play_sampled(config)
-    return Report(config=config.echo(), results=results)
+        results = _play_sampled(args.game, args.n, name, args.seed, trials)
+    return Report(config=config, results=results)
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +341,10 @@ def _check_quantum(game: str, n: int, seed: int, fold: SimpleNamespace) -> tuple
         return ((run_game(instance, strategy, rng), Fraction(1, reps)) for rng in rngs)
 
     how = "all branches" if n <= _EXHAUSTIVE_RUNS else f"{reps} seeded runs per instance"
-    _, bits, all_won = fold_runs(spec, strategy, runs)
+    masses, bits, _ = fold_runs(spec, strategy, runs)
     fold.bits |= bits
-    fold.all_won &= all_won
+    # a yielded run that lost, or a branch the runs missed, leaves a mass below 1
+    fold.all_won &= all(mass == 1 for mass in masses[start:])
     if not (fold.all_won and min_bits <= min(fold.bits) and max(fold.bits) <= 1):
         return False, runs_text.format(max(fold.bits))
     return True, pass_text.format(spec.instances.size, how)
@@ -440,8 +405,8 @@ _VERIFY_CHECKS = (
 )
 
 
-def cmd_verify(config: ExperimentConfig) -> Report:
-    n = config.n
+def cmd_verify(args: argparse.Namespace) -> Report:
+    n = args.n
     if not any(lo <= n <= hi for _, lo, hi, _ in _VERIFY_CHECKS):
         # the check domains overlap, so together they cover one interval
         lo = min(c[1] for c in _VERIFY_CHECKS)
@@ -450,9 +415,10 @@ def cmd_verify(config: ExperimentConfig) -> Report:
     checks: list[dict] = []
     results: dict = {"n": n}
     # the certainty checks' findings (nonzero-mass chosen sets, broadcast bit
-    # counts, whether every run won) on the parity game's first ``size``
-    # instances; the pair game is its leading |C| = 2 slice, so the parity
-    # check goes on where the pair check stopped
+    # counts, whether every instance was won with probability exactly 1) on
+    # the parity game's first ``size`` instances; the pair game is its
+    # leading |C| = 2 slice, so the parity check goes on where the pair
+    # check stopped
     fold = SimpleNamespace(size=0, bad=[], bits=set(), all_won=True)
     for name, lo, hi, runner in _VERIFY_CHECKS:
         if not lo <= n <= hi:
@@ -460,7 +426,7 @@ def cmd_verify(config: ExperimentConfig) -> Report:
                 {"name": name, "status": "skipped", "detail": f"defined for {lo} <= n <= {hi}"}
             )
             continue
-        outcome = runner(n, config.seed, fold)
+        outcome = runner(n, args.seed, fold)
         passed, detail = outcome[0], outcome[1]
         if len(outcome) > 2:
             results.update(outcome[2])
@@ -470,7 +436,8 @@ def cmd_verify(config: ExperimentConfig) -> Report:
 
     for status, key in (("pass", "passed"), ("fail", "failed"), ("skipped", "skipped")):
         results[key] = sum(c["status"] == status for c in checks)
-    return Report(config=config.echo(), results=results, checks=checks)
+    config = {"command": "verify", "seed": args.seed, "n": n}
+    return Report(config=config, results=results, checks=checks)
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +459,10 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def cmd_table(config: ExperimentConfig) -> Report:
-    lo, hi = config.n_range or (5, 16)
+def cmd_table(args: argparse.Namespace) -> Report:
+    lo, hi = _parse_range(args.n)
+    # the echo keeps the range as given
+    config = {"command": "table", "seed": args.seed, "n_range": [lo, hi]}
     lo, hi = max(lo, 5), min(hi, 64)  # formula domain
     if lo > hi:
         raise UsageError("range does not intersect the formula domain [5, 64]")
@@ -514,16 +483,21 @@ def cmd_table(config: ExperimentConfig) -> Report:
             }
         )
     results = {"rows": rows, "range": [lo, hi]}
-    return Report(config=config.echo(), results=results)
+    return Report(config=config, results=results)
 
 
 # ---------------------------------------------------------------------------
 # lemma
 
-def cmd_lemma(config: ExperimentConfig) -> Report:
-    if config.family_path is not None:
+def cmd_lemma(args: argparse.Namespace) -> Report:
+    n, max_l = args.n, args.max_l
+    config = {
+        "command": "lemma", "seed": args.seed, "n": None if args.family else n,
+        "max_l": max_l, "family": args.family,
+    }
+    if args.family is not None:
         try:
-            lines = Path(config.family_path).read_text().splitlines()
+            lines = Path(args.family).read_text().splitlines()
         except OSError as err:
             raise UsageError(f"cannot read family file: {err}") from None
         try:
@@ -536,21 +510,20 @@ def cmd_lemma(config: ExperimentConfig) -> Report:
             "dimension": family.dimension,
             "condition_holds": holds,
         }
-        return Report(config=config.echo(), results=results)
+        return Report(config=config, results=results)
 
-    n = config.n
     if not 2 <= n <= 10:
         raise UsageError(f"lemma search supports 2 <= n <= 10, got {n}")
-    if config.max_l is not None:
-        searches = (find_gf2_family(n, d) for d in range(1, config.max_l + 1))
+    if max_l is not None:
+        searches = (find_gf2_family(n, d) for d in range(1, max_l + 1))
         found = next((family for family in searches if family is not None), None)
         results = {
             "n": n,
-            "max_l": config.max_l,
+            "max_l": max_l,
             "found_dimension": found.dimension if found else None,
             "witness": found.to_lines() if found else None,
         }
-        return Report(config=config.echo(), results=results)
+        return Report(config=config, results=results)
 
     report = verify_lemma_chain(n)
     witness = find_gf2_family(n, report.min_dimension)
@@ -567,7 +540,7 @@ def cmd_lemma(config: ExperimentConfig) -> Report:
             ),
         }
     ]
-    return Report(config=config.echo(), results=results, checks=checks)
+    return Report(config=config, results=results, checks=checks)
 
 
 # ---------------------------------------------------------------------------
@@ -605,49 +578,25 @@ def build_parser() -> argparse.ArgumentParser:
         help="fold over every instance and randomness branch instead of sampling",
     )
     add_common(play)
+    play.set_defaults(run=cmd_play)
 
     verify = sub.add_parser("verify", help="run the invariant suite for one n")
     verify.add_argument("--n", type=int, default=DEFAULT_N)
     add_common(verify)
+    verify.set_defaults(run=cmd_verify)
 
     table = sub.add_parser("table", help="emit the bound table over a range of n")
     table.add_argument("--n", metavar="N|LO:HI", default="5:16")
     add_common(table)
+    table.set_defaults(run=cmd_table)
 
     lemma = sub.add_parser("lemma", help="subset-parity condition checks and searches")
     lemma.add_argument("--n", type=int, default=DEFAULT_N)
     lemma.add_argument("--family", metavar="PATH")
     lemma.add_argument("--max-l", dest="max_l", type=_positive_int)
     add_common(lemma)
+    lemma.set_defaults(run=cmd_lemma)
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    common = dict(
-        command=args.command, seed=args.seed, output_format=args.format, output_path=args.out
-    )
-    if args.command == "play":
-        return ExperimentConfig(
-            **common,
-            game=args.game,
-            n=args.n,
-            strategy=args.strategy or _default_strategy(args.game),
-            mode="exhaustive" if args.exhaustive else "play",
-            trials=None if args.exhaustive else args.trials,
-        )
-    if args.command == "verify":
-        return ExperimentConfig(**common, n=args.n)
-    if args.command == "table":
-        return ExperimentConfig(**common, n_range=_parse_range(args.n))
-    return ExperimentConfig(**common, n=args.n, max_l=args.max_l, family_path=args.family)
-
-
-_COMMANDS = {
-    "play": cmd_play,
-    "verify": cmd_verify,
-    "table": cmd_table,
-    "lemma": cmd_lemma,
-}
 
 
 def _error(code: int, message: str) -> int:
@@ -658,19 +607,17 @@ def _error(code: int, message: str) -> int:
 def main(argv: list[str] | None = None) -> int:
     """Exit 0 when every check passes, 1 when one fails, 2 for input outside
     a supported domain, 3 when the engine breaks one of its own invariants."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        report = _COMMANDS[config.command](config)
-        rendered = report.render(config.output_format)
+        report = args.run(args)
+        rendered = report.render(args.format)
     except UsageError as err:
         return _error(2, str(err))
     except (ExactnessError, ProtocolViolation, StepLimitExceeded) as err:
         return _error(3, f"{type(err).__name__}: {err}")
-    if config.output_path:
+    if args.out:
         try:
-            Path(config.output_path).write_text(rendered)
+            Path(args.out).write_text(rendered)
         except OSError as err:
             return _error(2, f"cannot write report: {err}")
     else:

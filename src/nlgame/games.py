@@ -230,7 +230,6 @@ class GameSpec:
     name: str
     n: int
     instances: InstanceSequence
-    below_analysis_min: bool = False
 
     def sample(self, rng: SplitMix64) -> GameInstance:
         return self.instances[rng.below(self.instances.size)]
@@ -250,9 +249,7 @@ def _parity_rule(k: int):
     return allowed
 
 
-def _parity_game(
-    name: str, n: int, sizes: Sequence[int], label, below_analysis_min: bool = False
-) -> GameSpec:
+def _parity_game(name: str, n: int, sizes: Sequence[int], label) -> GameSpec:
     """Parity game over the chosen sets whose size is in ``sizes``;
     ``label(chosen)`` names each instance."""
     players = frozenset(range(1, n + 1))
@@ -271,20 +268,18 @@ def _parity_game(
             label=label(chosen),
         )
 
-    return GameSpec(name, n, InstanceSequence(n, sizes, build), below_analysis_min)
+    return GameSpec(name, n, InstanceSequence(n, sizes, build))
 
 
 def make_simple_game(n: int) -> GameSpec:
     """Pair game: the |C| = 2 slice of the parity game, so every pair (i, j)
     must output differing bits.
 
-    Defined for n >= 3 (the remaining group must be able to signal); sizes
-    3 and 4 are flagged via ``below_analysis_min`` since the classical
-    trade-off analysis starts at n = 5.
+    Defined for n >= 3 (the remaining group must be able to signal).
     """
     if n < 3:
         raise ValueError(f"simple game needs n >= 3, got {n}")
-    return _parity_game("simple", n, (2,), lambda c: f"pair({c[0]},{c[1]})", n < 5)
+    return _parity_game("simple", n, (2,), lambda c: f"pair({c[0]},{c[1]})")
 
 
 def make_general_game(n: int) -> GameSpec:

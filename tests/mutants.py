@@ -35,6 +35,7 @@ GAMES = "src/nlgame/games.py"
 CLI = "src/nlgame/cli.py"
 TEST_GAMES = "tests/test_games.py"
 TEST_CLI = "tests/test_cli.py"
+TEST_GOLDEN = "tests/test_golden.py"
 
 
 class Mutant(NamedTuple):
@@ -117,6 +118,47 @@ MUTANTS = (
         "all_won and max_bits == width",
         "all_won",
         (TEST_CLI,),
+    ),
+    Mutant(
+        "verify: only the yielded runs must win",
+        CLI,
+        "    masses, bits, _ = fold_runs(spec, strategy, runs)\n"
+        "    fold.bits |= bits\n"
+        "    # a yielded run that lost, or a branch the runs missed, leaves a mass below 1\n"
+        "    fold.all_won &= all(mass == 1 for mass in masses[start:])\n",
+        "    _, bits, all_won = fold_runs(spec, strategy, runs)\n"
+        "    fold.bits |= bits\n"
+        "    fold.all_won &= all_won\n",
+        (TEST_CLI,),
+    ),
+    Mutant(
+        "play: an exhaustive run echoes mode play",
+        CLI,
+        '"mode": "exhaustive" if args.exhaustive else "play"',
+        '"mode": "play"',
+        (TEST_CLI,),
+    ),
+    Mutant(
+        "table: the echo shows the clamped range",
+        CLI,
+        '"n_range": [lo, hi]}',
+        '"n_range": [max(lo, 5), min(hi, 64)]}',
+        (TEST_GOLDEN,),
+    ),
+    Mutant(
+        "main: ExactnessError leaves the exit-3 tuple",
+        CLI,
+        "except (ExactnessError, ProtocolViolation, StepLimitExceeded)",
+        "except (ProtocolViolation, StepLimitExceeded)",
+        (TEST_CLI,),
+    ),
+    Mutant(
+        "measure_qubit: no sum-to-one check",
+        "src/nlgame/qsim.py",
+        "        if (num0 << (top - top0)) + (num1 << (top - top1)) != 1 << top:\n"
+        '            raise ExactnessError("measurement branches do not sum to 1")\n',
+        "",
+        ("tests/test_qsim.py",),
     ),
     Mutant(
         "sweep: the hint parity is flipped",

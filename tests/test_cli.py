@@ -7,7 +7,6 @@ import pytest
 
 from nlgame import cli
 from nlgame.cli import (
-    ExperimentConfig,
     Report,
     decimal_string,
     fraction_fields,
@@ -41,17 +40,20 @@ def test_fraction_fields_shape():
     }
 
 
-def test_config_echo_never_carries_the_format():
+def test_config_echo_never_carries_the_format(capsys):
     # the same experiment rendered as json and csv must carry identical
     # content, so the format key must stay out of the config echo
-    for config in (
-        ExperimentConfig(command="play", strategy="quantum-simple", trials=5),
-        ExperimentConfig(command="verify"),
-        ExperimentConfig(command="table", n_range=(5, 7)),
-        ExperimentConfig(command="lemma"),
+    for argv in (
+        ["play", "--strategy", "quantum-simple", "--trials", "5"],
+        ["verify"],
+        ["table", "--n", "5:7"],
+        ["lemma"],
     ):
-        assert "format" not in config.echo()
-        assert "output_format" not in config.echo()
+        code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert "format" not in config
+        assert "output_format" not in config
 
 
 def test_report_render_rejects_unknown_format():
@@ -280,6 +282,24 @@ def test_verify_fails_both_certainty_checks_on_a_losing_run(n, capsys, monkeypat
         if inbox.broadcasts else Action(),
     )
     code, out, err = run_cli(["verify", "--n", str(n), "--format", "json"], capsys)
+    assert code == 1
+    assert err == "failed checks: simple-quantum-certainty, general-quantum-certainty\n"
+    assert _certainty_details(out) == [
+        ("fail", "expected 1 broadcast bit and wins, got max 1 bits"),
+        ("fail", "expected <= 1 broadcast bit and wins, got max 1"),
+    ]
+
+
+def test_verify_fails_both_certainty_checks_when_the_walk_drops_a_branch(
+    capsys, monkeypatch
+):
+    # every run the walk yields still wins, but each instance's runs now
+    # carry less than probability 1, so certainty is not shown
+    walk = cli.enumerate_branches
+    monkeypatch.setattr(
+        cli, "enumerate_branches", lambda instance, strategy: list(walk(instance, strategy))[:-1]
+    )
+    code, out, err = run_cli(["verify", "--n", "5", "--format", "json"], capsys)
     assert code == 1
     assert err == "failed checks: simple-quantum-certainty, general-quantum-certainty\n"
     assert _certainty_details(out) == [

@@ -172,8 +172,6 @@ def test_simple_game_shape():
     spec = make_simple_game(5)
     assert spec.name == "simple" and spec.n == 5
     assert len(spec.instances) == 10
-    assert not spec.below_analysis_min
-    assert make_simple_game(3).below_analysis_min
     first = spec.instances[0]
     assert first.chosen == (1, 2)
     assert first.query == ("0", "0", "1")

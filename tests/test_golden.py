@@ -41,6 +41,18 @@ CASES = {
         "play", "--game", "simple", "--n", "5",
         "--strategy", "classical-atoms:0,1,b,nb,0", "--exhaustive", "--format", "json",
     ],
+    # one text or csv render per subcommand, so each config echo is pinned
+    # in a format other than json too
+    "verify-n5.txt": ["verify", "--n", "5"],
+    # the echo keeps the range as given, before it is clamped to [5, 64]
+    "table-n3-7.csv": ["table", "--n", "3:7", "--format", "csv"],
+    "lemma-n6-max-l3.txt": ["lemma", "--n", "6", "--max-l", "3"],
+    # an exhaustive play echoes mode "exhaustive" and no trial count
+    "play-simple-n5-exhaustive.csv": ["play", "--n", "5", "--exhaustive", "--format", "csv"],
+    # the echo names the default strategy that was filled in
+    "play-general-n6-sampled.txt": [
+        "play", "--game", "general", "--n", "6", "--trials", "20", "--seed", "3",
+    ],
 }
 
 
