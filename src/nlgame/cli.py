@@ -592,8 +592,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     lemma = sub.add_parser("lemma", help="subset-parity condition checks and searches")
     lemma.add_argument("--n", type=int, default=DEFAULT_N)
-    lemma.add_argument("--family", metavar="PATH")
-    lemma.add_argument("--max-l", dest="max_l", type=_positive_int)
+    # a family file is checked, not searched, so a search cap has no use there
+    source = lemma.add_mutually_exclusive_group()
+    source.add_argument("--family", metavar="PATH")
+    source.add_argument("--max-l", dest="max_l", type=_positive_int)
     add_common(lemma)
     lemma.set_defaults(run=cmd_lemma)
     return parser

@@ -12,8 +12,7 @@ aligns sqrt(2) scales and rejects a sum outside the exact set), and
 ``_mass`` weighs the result.  ``outcome_probability`` weighs one projection;
 ``measure_qubit`` projects onto both outcomes of its qubit, draws one and
 renormalizes it, computing each split of a register's core once.  The
-kernels and the core work on plain integer triples, and
-:class:`ExactAmplitude` is only the canonical value they hand out.
+kernels and the core work on plain ``(re, im, scale)`` integer triples.
 
 Conventions: qubits are numbered 1..n and qubit 1 is the most significant
 bit of an amplitude index, so index ``0b10`` of a 2-qubit register means
@@ -27,13 +26,12 @@ import enum
 import functools
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Mapping, Protocol
 
 __all__ = [
     "QUBIT_CAP",
     "ExactnessError",
     "DrawSource",
-    "ExactAmplitude",
     "MeasBasis",
     "StateVector",
     "make_ghz",
@@ -41,8 +39,8 @@ __all__ = [
     "outcome_probability",
 ]
 
-# Registers above this size are refused, so a dense view (2**n amplitudes)
-# stays bounded in memory.
+# Registers above this size are refused: ``StateVector.support`` lists up to
+# 2**n indices, and the quantum strategies and the CLI's play domain stop here.
 QUBIT_CAP = 20
 
 
@@ -63,55 +61,6 @@ def _canonical(re: int, im: int, scale: int) -> tuple[int, int, int]:
     while scale >= 2 and not (re | im) & 1:
         re, im, scale = re >> 1, im >> 1, scale - 2
     return re, im, scale
-
-
-class ExactAmplitude:
-    """Complex number (re + im*i) / sqrt(2)**scale with integer re, im.
-
-    Instances are kept in canonical form: while both integers are even and
-    the scale is at least 2, everything is divided by 2; an exact zero is
-    stored at scale 0.  Canonical forms are unique, so equality and hashing
-    are structural.  This is a value type with no arithmetic: the kernels
-    compute on ``(re, im, scale)`` integers and build one of these per
-    amplitude they return.
-    """
-
-    __slots__ = ("_re", "_im", "_scale")
-
-    def __init__(self, re: int, im: int = 0, scale: int = 0) -> None:
-        if scale < 0:
-            raise ValueError("sqrt2 scale must be non-negative")
-        self._re, self._im, self._scale = _canonical(re, im, scale)
-
-    @property
-    def re_int(self) -> int:
-        return self._re
-
-    @property
-    def im_int(self) -> int:
-        return self._im
-
-    @property
-    def sqrt2_scale(self) -> int:
-        return self._scale
-
-    def is_zero(self) -> bool:
-        return self._re == 0 and self._im == 0
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExactAmplitude):
-            return NotImplemented
-        return (
-            self._re == other._re
-            and self._im == other._im
-            and self._scale == other._scale
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._re, self._im, self._scale))
-
-    def __repr__(self) -> str:
-        return f"ExactAmplitude({self._re}, {self._im}, {self._scale})"
 
 
 class MeasBasis(enum.Enum):
@@ -142,47 +91,42 @@ _CONJUGATE_COMPONENTS = {
 }
 
 
-_ZERO = ExactAmplitude(0)
-
-
 class StateVector:
     """Register of exact amplitudes with squared norm exactly 1.
 
     The state is held as an entangled core times measured factors.  The
     core maps amplitude indices, with the bits of measured qubits cleared,
-    to nonzero amplitudes as canonical ``(re, im, scale)`` triples; the
-    factors map each measured qubit to the ``(basis, outcome)`` whose basis
-    vector it was left in.  A projective single-qubit measurement only ever
-    moves a qubit from the core into a factor, so a GHZ core keeps at most
-    two entries however many qubits are measured.  The dense view
-    (``amplitudes``, ``support``, ``dump_lines``, equality) is built on
-    demand and cached.  The states measured from one ``make_ghz`` or
-    constructor call share its split table (see :func:`measure_qubit`) and
-    free it with the last of them; states that drew equal splits share
-    one core, so no core is ever mutated.
+    to nonzero amplitudes as canonical ``(re, im, scale)`` triples, each
+    the value (re + im*i) / sqrt(2)**scale; the factors map each measured
+    qubit to the ``(basis, outcome)`` whose basis vector it was left in.
+    A projective single-qubit measurement only ever moves a qubit from the
+    core into a factor, so a GHZ core keeps at most two entries however
+    many qubits are measured, and no list of the register's 2**n
+    amplitudes is ever built.  The constructor takes a sparse
+    ``{index: (re, im, scale)}`` core with no qubit measured; it drops
+    zero entries and stores the rest canonically.  The states measured
+    from one ``make_ghz`` or constructor call share its split table (see
+    :func:`measure_qubit`) and free it with the last of them; states that
+    drew equal splits share one core, so no core is ever mutated.
     """
 
-    __slots__ = ("_n", "_core", "_factors", "_dense", "_splits")
+    __slots__ = ("_n", "_core", "_factors", "_splits")
 
-    def __init__(
-        self,
-        num_qubits: int,
-        amplitudes: Sequence[ExactAmplitude],
-        *,
-        cap: int = QUBIT_CAP,
-        validate_norm: bool = True,
-    ) -> None:
-        if num_qubits < 1 or num_qubits > cap:
-            raise ValueError(f"num_qubits must be in [1, {cap}], got {num_qubits}")
-        amps = tuple(amplitudes)
-        if len(amps) != 1 << num_qubits:
-            raise ValueError("amplitude count must be 2**num_qubits")
+    def __init__(self, num_qubits: int, core: Mapping[int, tuple[int, int, int]]) -> None:
+        if num_qubits < 1 or num_qubits > QUBIT_CAP:
+            raise ValueError(f"num_qubits must be in [1, {QUBIT_CAP}], got {num_qubits}")
         self._n = num_qubits
-        self._core = {i: (a._re, a._im, a._scale) for i, a in enumerate(amps) if not a.is_zero()}
+        self._core = {}
+        for idx, (re, im, scale) in core.items():
+            if not 0 <= idx < 1 << num_qubits:
+                raise ValueError(f"amplitude index must be in [0, 2**{num_qubits}), got {idx}")
+            if scale < 0:
+                raise ValueError("sqrt2 scale must be non-negative")
+            if re or im:
+                self._core[idx] = _canonical(re, im, scale)
         self._factors: dict[int, tuple[MeasBasis, int]] = {}
-        self._dense = (amps, tuple(self._core))
         self._splits: dict = {}
-        if validate_norm and self.norm_squared() != 1:
+        if self.norm_squared() != 1:
             raise ValueError("state vector must have squared norm exactly 1")
 
     @classmethod
@@ -197,30 +141,8 @@ class StateVector:
         state._n = num_qubits
         state._core = core
         state._factors = factors
-        state._dense = None
         state._splits = splits
         return state
-
-    def _dense_view(self) -> tuple[tuple[ExactAmplitude, ...], tuple[int, ...]]:
-        # (amplitudes, support): every core entry times every nonzero
-        # component of every factor, placed at the factor's bit
-        if self._dense is None:
-            entries = [(idx, *a) for idx, a in self._core.items()]
-            for qubit, (basis, outcome) in self._factors.items():
-                shift = self._n - qubit
-                *vector, s = _BASIS_COMPONENTS[basis, outcome]
-                entries = [
-                    (idx | v << shift, re * cre - im * cim, re * cim + im * cre, sc + s)
-                    for idx, re, im, sc in entries
-                    for v, (cre, cim) in enumerate(vector)
-                    if cre or cim
-                ]
-            entries.sort()
-            amps = [_ZERO] * (1 << self._n)
-            for idx, re, im, sc in entries:
-                amps[idx] = ExactAmplitude(re, im, sc)
-            self._dense = (tuple(amps), tuple(entry[0] for entry in entries))
-        return self._dense
 
     @property
     def num_qubits(self) -> int:
@@ -232,46 +154,31 @@ class StateVector:
         return MappingProxyType(self._factors)
 
     @property
-    def amplitudes(self) -> tuple[ExactAmplitude, ...]:
-        return self._dense_view()[0]
-
-    @property
     def support(self) -> tuple[int, ...]:
-        """Indices of nonzero amplitudes, ascending."""
-        return self._dense_view()[1]
+        """Indices of nonzero amplitudes, ascending: every core index with
+        each measured qubit's bit set to each nonzero component of its factor."""
+        indices = list(self._core)
+        for qubit, (basis, outcome) in self._factors.items():
+            *vector, _ = _BASIS_COMPONENTS[basis, outcome]
+            bits = [v << (self._n - qubit) for v, (re, im) in enumerate(vector) if re or im]
+            indices = [idx | bit for idx in indices for bit in bits]
+        return tuple(sorted(indices))
 
     def norm_squared(self) -> Fraction:
         # factors are unit basis vectors, so the core carries the whole norm
         return _fraction(*_mass(self._core.values()))
 
-    def dump_lines(self) -> list[str]:
-        """One line per nonzero amplitude: ``index_bits re_int im_int scale``."""
-        amps, support = self._dense_view()
-        return [
-            f"{i:0{self._n}b} {amps[i].re_int} {amps[i].im_int} {amps[i].sqrt2_scale}"
-            for i in support
-        ]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, StateVector):
-            return NotImplemented
-        return self._n == other._n and self.amplitudes == other.amplitudes
-
-    def __hash__(self) -> int:
-        return hash((self._n, self.amplitudes))
-
     def __repr__(self) -> str:
-        # reads the factored form only: the dense view may hold 2**n slots
         return (
             f"StateVector(num_qubits={self._n}, core={len(self._core)}, "
             f"measured={len(self._factors)})"
         )
 
 
-def make_ghz(n: int, *, cap: int = QUBIT_CAP) -> StateVector:
+def make_ghz(n: int) -> StateVector:
     """(|0...0> + |1...1>) / sqrt(2) on n qubits; n = 1 gives (|0> + |1>) / sqrt(2)."""
-    if n < 1 or n > cap:
-        raise ValueError(f"GHZ register size must be in [1, {cap}], got {n}")
+    if n < 1 or n > QUBIT_CAP:
+        raise ValueError(f"GHZ register size must be in [1, {QUBIT_CAP}], got {n}")
     return StateVector._factored(n, {0: (1, 0, 1), (1 << n) - 1: (1, 0, 1)}, {}, {})
 
 

@@ -33,9 +33,12 @@ ROOT = Path(__file__).resolve().parent.parent
 
 GAMES = "src/nlgame/games.py"
 CLI = "src/nlgame/cli.py"
+QSIM = "src/nlgame/qsim.py"
+BOUNDS = "src/nlgame/bounds.py"
 TEST_GAMES = "tests/test_games.py"
 TEST_CLI = "tests/test_cli.py"
 TEST_GOLDEN = "tests/test_golden.py"
+TEST_QSIM = "tests/test_qsim.py"
 
 
 class Mutant(NamedTuple):
@@ -89,6 +92,13 @@ MUTANTS = (
         '        """0 with probability p_zero; certain outcomes consume no randomness."""\n',
         '        """0 with probability p_zero; certain outcomes consume no randomness."""\n'
         "        self.next64()\n",
+        (TEST_GAMES,),
+    ),
+    Mutant(
+        "SplitMix64: a draw at u / 2**64 == p_zero gives 0",
+        GAMES,
+        "self.next64() * den < num << 64",
+        "self.next64() * den <= num << 64",
         (TEST_GAMES,),
     ),
     Mutant(
@@ -154,11 +164,33 @@ MUTANTS = (
     ),
     Mutant(
         "measure_qubit: no sum-to-one check",
-        "src/nlgame/qsim.py",
+        QSIM,
         "        if (num0 << (top - top0)) + (num1 << (top - top1)) != 1 << top:\n"
         '            raise ExactnessError("measurement branches do not sum to 1")\n',
         "",
-        ("tests/test_qsim.py",),
+        (TEST_QSIM,),
+    ),
+    Mutant(
+        "support: a factor's zero component is kept",
+        QSIM,
+        "for v, (re, im) in enumerate(vector) if re or im]",
+        "for v, (re, im) in enumerate(vector)]",
+        (TEST_QSIM,),
+    ),
+    Mutant(
+        "StateVector: the constructor skips its norm check",
+        QSIM,
+        "        if self.norm_squared() != 1:\n"
+        '            raise ValueError("state vector must have squared norm exactly 1")\n',
+        "",
+        (TEST_QSIM,),
+    ),
+    Mutant(
+        "oracles.dense: the first measured factor is dropped",
+        "tests/oracles.py",
+        "in state.measured.items():",
+        "in list(state.measured.items())[1:]:",
+        (TEST_QSIM,),
     ),
     Mutant(
         "sweep: the hint parity is flipped",
@@ -169,9 +201,16 @@ MUTANTS = (
     ),
     Mutant(
         "kernel walk: every even subset fails",
-        "src/nlgame/bounds.py",
+        BOUNDS,
         "subset.bit_count() % 4 == 2",
         "subset.bit_count() % 2 == 0",
+        ("tests/test_bounds.py",),
+    ),
+    Mutant(
+        "elimination: a reduced row keeps its own mask",
+        BOUNDS,
+        "            mask ^= pivot_mask\n",
+        "",
         ("tests/test_bounds.py",),
     ),
 )

@@ -3,7 +3,8 @@
 Nothing in this module imports from nlgame, and every computation here uses
 a different representation than the library does: amplitudes live in
 Q(sqrt2, i) as quadruples of Fractions in a dense list instead of scaled
-Gaussian integers in a core times measured factors, game instances are
+Gaussian integers in a core times measured factors (``dense`` rebuilds
+that list from a library register), game instances are
 built eagerly in one list instead of unranked on access, randomness
 branches are replayed from the root (dropping a run that meets an
 uncovered branch, or forking the tape there) instead of forking the run
@@ -97,6 +98,25 @@ def from_scaled_ints(re: int, im: int, scale: int) -> Sym:
     return Sym(0, Fraction(re, den), 0, Fraction(im, den))
 
 
+def to_scaled_ints(z: Sym) -> tuple[int, int, int]:
+    """The canonical (re, im, scale) with z = (re + im*i) / sqrt2**scale.
+
+    The smallest scale of the right parity that makes both parts integers;
+    ValueError if z mixes rational and sqrt2 parts.
+    """
+    if z.b or z.d:
+        if z.a or z.c:
+            raise ValueError(f"not a scaled Gaussian integer: {z!r}")
+        parts, parity = (z.b, z.d), 1
+    else:
+        parts, parity = (z.a, z.c), 0
+    half = max(max(part.denominator for part in parts).bit_length() - 1, parity)
+    re, im = (int(part * (1 << half)) for part in parts)
+    if re == 0 and im == 0:
+        return 0, 0, 0
+    return re, im, 2 * half - parity
+
+
 def basis_vector(basis: str, outcome: int) -> tuple[Sym, Sym]:
     """Computational components of the named single-qubit basis vector."""
     h = INV_SQRT2
@@ -116,6 +136,25 @@ def ghz_amplitudes(n: int) -> list[Sym]:
     amps = [Sym() for _ in range(1 << n)]
     amps[0] = INV_SQRT2
     amps[-1] = INV_SQRT2
+    return amps
+
+
+def dense(state) -> list[Sym]:
+    """The 2^n amplitudes of a library register, rebuilt in Sym arithmetic.
+
+    Reads the register's private core (each index with the measured qubits'
+    bits cleared, mapped to a scaled-integer triple) and its public
+    ``measured`` map, and multiplies each core amplitude out by the basis
+    vector every measured qubit was left in.
+    """
+    n = state.num_qubits
+    amps = [Sym() for _ in range(1 << n)]
+    for idx, triple in state._core.items():
+        amps[idx] = from_scaled_ints(*triple)
+    for qubit, (basis, outcome) in state.measured.items():
+        bit = 1 << (n - qubit)
+        components = basis_vector(basis.value, outcome)
+        amps = [amps[i & ~bit] * components[bool(i & bit)] for i in range(1 << n)]
     return amps
 
 

@@ -515,6 +515,17 @@ def test_lemma_family_past_the_kernel_cap_exits_2(tmp_path, capsys):
     assert "kernel dimension" in _one_error_line(err)
 
 
+def test_lemma_family_and_max_l_exclude_each_other(tmp_path, capsys):
+    family = tmp_path / "family.txt"
+    family.write_text("01\n10\n")
+    with pytest.raises(SystemExit) as info:
+        main(["lemma", "--family", str(family), "--max-l", "2"])
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: nlgame lemma")
+    assert "--max-l: not allowed with argument --family" in err
+
+
 def test_lemma_usage_errors(tmp_path, capsys):
     assert run_cli(["lemma", "--n", "12"], capsys)[0] == 2
     assert run_cli(["lemma", "--family", str(tmp_path / "missing.txt")], capsys)[0] == 2

@@ -146,6 +146,8 @@ def test_draw_integer_comparison_matches_fractions():
     for p_zero, u in pairs:
         if 0 < p_zero < 1:
             assert _FixedDraw(u).draw(p_zero) == _fraction_draw(u, p_zero), (u, p_zero)
+    # the tie: u / 2**64 equal to p_zero is not below it, so it draws 1
+    assert _FixedDraw(1 << 63).draw(Fraction(1, 2)) == 1
 
 
 # ---------------------------------------------------------------------------
