@@ -490,10 +490,12 @@ def cmd_table(args: argparse.Namespace) -> Report:
 # lemma
 
 def cmd_lemma(args: argparse.Namespace) -> Report:
-    n, max_l = args.n, args.max_l
+    if args.family is not None and args.n is not None:
+        raise UsageError("lemma --family checks the file's own n; drop --n")
+    n = DEFAULT_N if args.family is None and args.n is None else args.n
+    max_l = args.max_l
     config = {
-        "command": "lemma", "seed": args.seed, "n": None if args.family else n,
-        "max_l": max_l, "family": args.family,
+        "command": "lemma", "seed": args.seed, "n": n, "max_l": max_l, "family": args.family,
     }
     if args.family is not None:
         try:
@@ -591,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     table.set_defaults(run=cmd_table)
 
     lemma = sub.add_parser("lemma", help="subset-parity condition checks and searches")
-    lemma.add_argument("--n", type=int, default=DEFAULT_N)
+    lemma.add_argument("--n", type=int)  # DEFAULT_N for a search; a family has its own
     # a family file is checked, not searched, so a search cap has no use there
     source = lemma.add_mutually_exclusive_group()
     source.add_argument("--family", metavar="PATH")

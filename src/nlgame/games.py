@@ -31,7 +31,7 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Callable, Iterable, Iterator, NamedTuple, Protocol
 
 __all__ = [
@@ -338,8 +338,9 @@ class Strategy:
         seating, so every player of a seating that draws has
         ``fork(twins)``.  ``twins`` maps ``draws`` to the copy's source;
         ``fork`` returns an equivalent player on that source, keeping in
-        ``twins`` the one twin of each object players share.  An act
-        changes no state before its first draw.
+        ``twins`` the one twin of each object players share.  Only players
+        that have not halted are forked; the copy keeps each halted one.  An
+        act changes no state before its first draw.
         """
         raise NotImplementedError
 
@@ -453,17 +454,17 @@ class _Run:
             )
 
     def fork(self, draws: "_BranchDraws") -> "_Run":
-        """A copy of this run whose players draw from ``draws``."""
+        """A copy of this run, its live players forked onto ``draws``, its halted ones kept."""
         twin = _Run.__new__(_Run)
-        for name in _Run.__slots__:
-            setattr(twin, name, getattr(self, name))
-        twin.halted = self.halted[:]
+        twin.instance, twin.strategy, twin.step = self.instance, self.strategy, self.step
+        twin.group_of, twin.step_limit, twin.seat = self.group_of, self.step_limit, self.seat
+        halted = twin.halted = self.halted[:]
         twin.outputs = self.outputs.copy()
         twin.steps = self.steps[:]
         twin.broadcasts = self.broadcasts[:]
         twin.group_messages = self.group_messages[:]
         twins = {self.draws: draws}
-        twin.players = [player.fork(twins) for player in self.players]
+        twin.players = [p if h else p.fork(twins) for p, h in zip(self.players, halted[1:])]
         twin.draws, draws.run = draws, twin
         return twin
 
@@ -475,6 +476,7 @@ class _Run:
             self.players, self.group_of, self.halted, self.outputs
         )
         n = len(players)
+        live = n - sum(halted)
         while True:
             t = self.step
             if t > self.step_limit:
@@ -482,21 +484,26 @@ class _Run:
             first = t == 1
             last = self.steps[-1] if self.steps else _NOTHING_SENT
             delivered = tuple((r.sender, r.payload) for r in last.broadcasts)
+            # each group's messages, pooled once; a player hears all but its own
+            pools: dict[int, list[tuple[int, str]]] = {}
+            own: dict[int, int] = {}  # sender -> place of its one message in its pool
+            for m in last.group_messages:
+                pool = pools.setdefault(m.group, [])
+                own[m.sender] = len(pool)
+                pool.append((m.sender, m.payload))
             broadcasts, group_messages = self.broadcasts, self.group_messages
             for i in range(self.seat, n + 1):
                 if halted[i]:
                     continue
                 self.seat = i
                 gi = group_of[i]
+                pool = pools.get(gi, ())
+                j = own.get(i)
                 inbox = Inbox(
                     t,
                     query[gi] if first else None,
                     chosen if first and gi == aux_group else None,
-                    tuple(
-                        (m.sender, m.payload)
-                        for m in last.group_messages
-                        if m.group == gi and m.sender != i
-                    ),
+                    tuple(pool) if j is None else (*pool[:j], *pool[j + 1 :]),
                     delivered,
                 )
                 action = players[i - 1].act(inbox)
@@ -517,9 +524,10 @@ class _Run:
                     outputs[gi] = action.output
                 if action.halt:
                     halted[i] = True
+                    live -= 1
 
             self.steps.append(StepRecord(t, tuple(broadcasts), tuple(group_messages)))
-            if all(halted[1:]):
+            if not live:
                 break
             self.step, self.seat = t + 1, 1
             self.broadcasts, self.group_messages = [], []
@@ -657,16 +665,22 @@ def fold_runs(
     bits: set[int] = set()
     all_won = True
     for index, instance in enumerate(spec.instances):
-        mass = Fraction(0)
+        won: list[tuple[int, int]] = []
         weighted = runs(instance, index) if runs else enumerate_branches(instance, strategy)
         for result, weight in weighted:
             bits.add(result.broadcast_bits)
             if result.won:
-                mass += weight
+                won.append((weight.numerator, weight.denominator))
             else:
                 all_won = False
-        masses.append(mass)
+        masses.append(_exact_sum(won))
     return masses, bits, all_won
+
+
+def _exact_sum(terms: list[tuple[int, int]]) -> Fraction:
+    """The sum of num / den over ``terms``, reduced once over their lcm."""
+    den = lcm(*(d for _, d in terms))
+    return Fraction(sum(num * (den // d) for num, d in terms), den)
 
 
 def broadcast_complexity(spec: GameSpec, strategy: Strategy) -> tuple[int, bool]:

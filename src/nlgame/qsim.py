@@ -106,8 +106,8 @@ class StateVector:
     ``{index: (re, im, scale)}`` core with no qubit measured; it drops
     zero entries and stores the rest canonically.  The states measured
     from one ``make_ghz`` or constructor call share its split table (see
-    :func:`measure_qubit`) and free it with the last of them; states that
-    drew equal splits share one core, so no core is ever mutated.
+    :func:`measure_qubit`) and free it with the last of them.  The table
+    interns each core it holds, so equal cores are one object, never mutated.
     """
 
     __slots__ = ("_n", "_core", "_factors", "_splits")
@@ -125,7 +125,7 @@ class StateVector:
             if re or im:
                 self._core[idx] = _canonical(re, im, scale)
         self._factors: dict[int, tuple[MeasBasis, int]] = {}
-        self._splits: dict = {}
+        self._splits: dict = {frozenset(self._core.items()): self._core}
         if self.norm_squared() != 1:
             raise ValueError("state vector must have squared norm exactly 1")
 
@@ -179,7 +179,7 @@ def make_ghz(n: int) -> StateVector:
     """(|0...0> + |1...1>) / sqrt(2) on n qubits; n = 1 gives (|0> + |1>) / sqrt(2)."""
     if n < 1 or n > QUBIT_CAP:
         raise ValueError(f"GHZ register size must be in [1, {QUBIT_CAP}], got {n}")
-    return StateVector._factored(n, {0: (1, 0, 1), (1 << n) - 1: (1, 0, 1)}, {}, {})
+    return StateVector(n, {0: (1, 0, 1), (1 << n) - 1: (1, 0, 1)})
 
 
 def _add_term(acc: dict, key: int, re: int, im: int, scale: int) -> None:
@@ -309,14 +309,16 @@ def measure_qubit(
     renormalization; anything else raises :class:`ExactnessError`).
     Branch masses stay integers over a power of two until the draw.
 
-    A split is computed once per register: its table is keyed by the core's
-    content, the qubit, the basis and the qubit's held factor (or ``None``),
-    and holds both masses, ``p_zero``, both projections and each drawn
-    outcome's child core, shared by every state that draws it.  A failed
-    check stores nothing, so it raises again on every call.
+    A split is computed once per register.  Its table interns the root
+    core and each child core, so a split is keyed by the core's identity,
+    the qubit, the basis and the qubit's held factor (or ``None``).  It
+    holds its core, keeping that identity unique, both masses and
+    probabilities, both projections and each drawn outcome's child core.
+    A failed check stores nothing, so it raises again on every call.
     """
-    key = (frozenset(state._core.items()), qubit_index, basis, state._factors.get(qubit_index))
-    split = state._splits.get(key)
+    core, splits = state._core, state._splits
+    key = (id(core), qubit_index, basis, state._factors.get(qubit_index))
+    split = splits.get(key)
     if split is None:
         projected = (
             _project(state, ((qubit_index, basis, 0),)),
@@ -329,25 +331,27 @@ def measure_qubit(
         top = max(top0, top1)
         if (num0 << (top - top0)) + (num1 << (top - top1)) != 1 << top:
             raise ExactnessError("measurement branches do not sum to 1")
-        split = state._splits[key] = (_fraction(num0, top0), masses, projected, [None, None])
-    p_zero, masses, projected, children = split
-    outcome = draws.draw(p_zero)
+        probs = _fraction(num0, top0), _fraction(num1, top1)
+        split = splits[key] = (core, probs, masses, projected, [None, None])
+    _, probs, masses, projected, children = split
+    outcome = draws.draw(probs[0])
     num, top = masses[outcome]
-    p = _fraction(num, top)
-    core = children[outcome]
-    if core is None:
+    p = probs[outcome]
+    child = children[outcome]
+    if child is None:
         # only the drawn branch is renormalized, so only it must be 2**-t
         if not num or num & (num - 1):
             raise ExactnessError(f"renormalization needs a power-of-two probability, got {p}")
         # each entry's own mass is at most the branch's 2**-t, so t <= its scale
         t = top - num.bit_length() + 1
-        core = children[outcome] = {
+        child = {
             idx: _canonical(re, im, sc - t)
             for idx, (re, im, sc) in projected[outcome].items()
             if re or im
         }
+        child = children[outcome] = splits.setdefault(frozenset(child.items()), child)
     factors = {**state._factors, qubit_index: (basis, outcome)}
-    return outcome, StateVector._factored(state._n, core, factors, state._splits), p
+    return outcome, StateVector._factored(state._n, child, factors, splits), p
 
 
 def outcome_probability(

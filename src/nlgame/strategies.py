@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import ceil, comb, log2
 from typing import Callable, Iterable
 
-from .games import Action, GameInstance, Inbox, ProtocolViolation, Strategy
+from .games import Action, GameInstance, Inbox, ProtocolViolation, Strategy, _exact_sum
 from .qsim import (
     QUBIT_CAP,
     MeasBasis,
@@ -118,6 +118,11 @@ def _seat(n: int, instance: GameInstance, chosen_role, leader_role, other_role) 
 
 
 _WAIT = Action()  # a waiting player's act
+# the GHZ players' other acts, built once: outputs, hints, reports by [leader][bit]
+_OUTPUT = (Action(output="0", halt=True), Action(output="1", halt=True))
+_HINT = (Action(broadcast="0", halt=True), Action(broadcast="1", halt=True))
+_REPORT = ((Action(group_message="0", halt=True), Action(group_message="1", halt=True)),
+           (Action(group_message="0"), Action(group_message="1")))
 
 
 class _Responder:
@@ -168,7 +173,7 @@ class _Measurer:
         if not inbox.broadcasts:
             return _WAIT
         basis = MeasBasis.DIAGONAL if inbox.broadcasts[0][1] == "1" else MeasBasis.CIRCULAR
-        return Action(output=str(self._shared.measure(self._index, basis)), halt=True)
+        return _OUTPUT[self._shared.measure(self._index, basis)]
 
     def fork(self, twins: dict) -> "_Measurer":
         return _Measurer(self._index, self._shared.fork(twins))
@@ -191,13 +196,10 @@ class _OutcomeReporter:
 
     def act(self, inbox: Inbox) -> Action:
         if inbox.step == 1:
-            own = self._shared.measure(self._index, MeasBasis.DIAGONAL)
-            return Action(group_message=str(own), halt=not self._leader)
+            return _REPORT[self._leader][self._shared.measure(self._index, MeasBasis.DIAGONAL)]
         own = self._shared.state.measured[self._index][1]
         ones = own + sum(int(payload) for _, payload in inbox.group_messages)
-        return Action(
-            broadcast=str(ones % 2), broadcast_fixed_length=True, halt=True
-        )
+        return _HINT[ones % 2]
 
 
 class _QuantumParityStrategy(Strategy):
@@ -350,16 +352,17 @@ def _weigh(n: int, chosen: tuple[int, ...], weights: Iterable[int]) -> dict[int,
     each weight in ``weights`` (every tuple of a weight has the same one)."""
     ghz = make_ghz(n)
     rest = [q for q in range(1, n + 1) if q not in chosen]
-    mass = dict.fromkeys(weights, Fraction(0))
+    terms: dict[int, list[tuple[int, int]]] = {t: [] for t in weights}
     for w in range(len(rest) + 1):
         # the leader broadcasts the parity of these outcomes as the hint
         basis = MeasBasis.DIAGONAL if w % 2 else MeasBasis.CIRCULAR
         base = [(q, MeasBasis.DIAGONAL, int(i < w)) for i, q in enumerate(rest)]
         ways = comb(len(rest), w)
-        for t in mass:
+        for t, parts in terms.items():
             outs = [(c, basis, int(j < t)) for j, c in enumerate(chosen)]
-            mass[t] += ways * outcome_probability(ghz, base + outs)
-    return mass
+            p = outcome_probability(ghz, base + outs)
+            parts.append((ways * p.numerator, p.denominator))
+    return {t: _exact_sum(parts) for t, parts in terms.items()}
 
 
 def _even_parity_mass(n: int, chosen: tuple[int, ...]) -> Fraction:

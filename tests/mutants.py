@@ -35,10 +35,12 @@ GAMES = "src/nlgame/games.py"
 CLI = "src/nlgame/cli.py"
 QSIM = "src/nlgame/qsim.py"
 BOUNDS = "src/nlgame/bounds.py"
+STRATEGIES = "src/nlgame/strategies.py"
 TEST_GAMES = "tests/test_games.py"
 TEST_CLI = "tests/test_cli.py"
 TEST_GOLDEN = "tests/test_golden.py"
 TEST_QSIM = "tests/test_qsim.py"
+TEST_STRATEGIES = "tests/test_strategies.py"
 
 
 class Mutant(NamedTuple):
@@ -109,6 +111,27 @@ MUTANTS = (
         (TEST_GAMES,),
     ),
     Mutant(
+        "fork: every player is shared",
+        GAMES,
+        "p if h else p.fork(twins)",
+        "p",
+        (TEST_GAMES,),
+    ),
+    Mutant(
+        "play: a pooled inbox keeps the player's own message",
+        GAMES,
+        "tuple(pool) if j is None else (*pool[:j], *pool[j + 1 :])",
+        "tuple(pool)",
+        (TEST_GAMES,),
+    ),
+    Mutant(
+        "exact sum: reduced over the first term's denominator",
+        GAMES,
+        "den = lcm(*(d for _, d in terms))",
+        "den = terms[0][1] if terms else 1",
+        (TEST_GAMES,),
+    ),
+    Mutant(
         "verify: no lower bound on a certainty check's bits",
         CLI,
         "min_bits <= min(fold.bits) and ",
@@ -171,6 +194,13 @@ MUTANTS = (
         (TEST_QSIM,),
     ),
     Mutant(
+        "measure_qubit: a child core is not interned",
+        QSIM,
+        "splits.setdefault(frozenset(child.items()), child)",
+        "child",
+        (TEST_QSIM,),
+    ),
+    Mutant(
         "support: a factor's zero component is kept",
         QSIM,
         "for v, (re, im) in enumerate(vector) if re or im]",
@@ -194,10 +224,31 @@ MUTANTS = (
     ),
     Mutant(
         "sweep: the hint parity is flipped",
-        "src/nlgame/strategies.py",
+        STRATEGIES,
         "MeasBasis.DIAGONAL if w % 2 else",
         "MeasBasis.DIAGONAL if w % 2 == 0 else",
-        ("tests/test_strategies.py",),
+        (TEST_STRATEGIES,),
+    ),
+    Mutant(
+        "sweep: C(n - k, w) dropped",
+        STRATEGIES,
+        "ways = comb(len(rest), w)",
+        "ways = 1",
+        (TEST_STRATEGIES,),
+    ),
+    Mutant(
+        "sweep: C(k, t) dropped",
+        STRATEGIES,
+        "comb(k, t) * m for t, m in mass.items()",
+        "m for t, m in mass.items()",
+        (TEST_STRATEGIES,),
+    ),
+    Mutant(
+        "sweep: only w = 0 weighed",
+        STRATEGIES,
+        "for w in range(len(rest) + 1):",
+        "for w in range(1):",
+        (TEST_STRATEGIES,),
     ),
     Mutant(
         "kernel walk: every even subset fails",

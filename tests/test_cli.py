@@ -526,6 +526,17 @@ def test_lemma_family_and_max_l_exclude_each_other(tmp_path, capsys):
     assert "--max-l: not allowed with argument --family" in err
 
 
+def test_lemma_family_refuses_n(tmp_path, capsys):
+    # a family file fixes its own n, so an --n beside it was silently ignored
+    family = tmp_path / "family.txt"
+    family.write_text("01\n10\n")
+    code, out, err = run_cli(["lemma", "--family", str(family), "--n", "9"], capsys)
+    assert (code, out) == (2, "")
+    assert "--n" in _one_error_line(err)
+    code, out, _ = run_cli(["lemma", "--family", str(family), "--format", "json"], capsys)
+    assert code == 0 and json.loads(out)["config"]["n"] is None
+
+
 def test_lemma_usage_errors(tmp_path, capsys):
     assert run_cli(["lemma", "--n", "12"], capsys)[0] == 2
     assert run_cli(["lemma", "--family", str(tmp_path / "missing.txt")], capsys)[0] == 2

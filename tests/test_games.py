@@ -578,6 +578,62 @@ def test_enumerate_branches_runs_each_leaf_once(monkeypatch):
     assert deterministic.runs == 1
 
 
+class _ForkLog(Strategy):
+    """Plays ``inner`` through players that log each fork with the seat's
+    halted flag and refuse to act twice in one step."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.n = inner.n
+        self.name = inner.name
+        self.forks = []  # the halted flag of each forked player
+
+    def make_players(self, instance, draws):
+        return [_Logged(self, p) for p in self.inner.make_players(instance, draws)]
+
+    def empty_group_action(self, instance, group_index):
+        return self.inner.empty_group_action(instance, group_index)
+
+
+class _Logged:
+    def __init__(self, log, inner):
+        self.log, self.inner = log, inner
+        self.halted = False
+        self.steps = set()
+
+    def act(self, inbox):
+        # a player that two runs share would play one of its steps twice
+        assert inbox.step not in self.steps, "a live player was shared by a fork"
+        action = self.inner.act(inbox)
+        self.steps.add(inbox.step)  # after the act, so a copy made in it replays it
+        self.halted = action.halt
+        return action
+
+    def fork(self, twins):
+        self.log.forks.append(self.halted)
+        twin = _Logged(self.log, self.inner.fork(twins))
+        twin.steps = set(self.steps)
+        return twin
+
+
+@pytest.mark.parametrize(
+    "make, n, name",
+    [(make_simple_game, 5, "quantum-simple"), (make_general_game, 6, "quantum-general")],
+)
+def test_a_fork_copies_live_players_only(make, n, name):
+    strategy = _ForkLog(strategy_from_name(name, n))
+    kept = 0
+    for instance in make(n).instances:
+        strategy.forks.clear()
+        walk = list(enumerate_branches(instance, strategy))
+        assert walk == list(oracles.replay_branches(instance, strategy.inner, run_game))
+        assert not any(strategy.forks)
+        # a GHZ act draws at most once, so each leaf but the first comes from
+        # one fork of an n-player seating; count the seats the forks kept
+        kept += (len(walk) - 1) * n - len(strategy.forks)
+    assert kept > 0
+
+
 class _DoubleDraw(Strategy):
     """Each chosen player draws in step 1 a certain 1 (p_zero = 0) and
     twice genuinely, at p_zero = ``p1`` and then ``p2``; it keeps its draws

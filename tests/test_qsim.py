@@ -532,6 +532,38 @@ def test_split_table_hits_across_a_branch_walk(monkeypatch):
     assert projected_7 < projected_8 <= projected_7 + 6
 
 
+def test_a_walk_keeps_one_core_per_content(monkeypatch):
+    # the table interns each core it builds, so states whose cores hold
+    # equal content hold one core object, and splits are found by identity
+    cores = []
+    measure = nlgame.strategies.measure_qubit
+
+    def record(state, *args):
+        result = measure(state, *args)
+        cores.extend((state._core, result[1]._core))
+        return result
+
+    monkeypatch.setattr(nlgame.strategies, "measure_qubit", record)
+    instance = next(i for i in make_simple_game(7).instances if i.chosen == (3, 5))
+    assert len(list(enumerate_branches(instance, quantum_simple_strategy(7)))) == 64
+    contents = {frozenset(core.items()) for core in cores}
+    assert len(contents) > 10
+    assert len({id(core) for core in cores}) == len(contents)
+
+
+def test_a_root_equal_to_a_later_child_is_split_once(monkeypatch):
+    calls = _project_calls(monkeypatch)
+    # |0>|+>: qubit 1 measured computationally leaves a core equal to the root's
+    root = StateVector(2, {0: (1, 0, 1), 1: (1, 0, 1)})
+    _, child, p = measure_qubit(root, 1, Z, oracles.ReplayTape(()))
+    assert p == 1 and child._core == root._core
+    calls.clear()
+    for state in (root, child, child, root):
+        outcome, _, p = measure_qubit(state, 2, D, oracles.ReplayTape((0,)))
+        assert (outcome, p) == (0, 1)
+    assert len(calls) == 2  # both projections of one split
+
+
 def _check_against_oracle(state, qubit, basis, outcome, calls, hit):
     """Measures ``qubit`` with a forced ``outcome``, checks the result against
     the oracle and against a new register that holds the same amplitudes,
