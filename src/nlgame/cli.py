@@ -23,9 +23,8 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import partial
 from io import StringIO
-from itertools import islice
 from json import dumps
-from math import log2, sqrt
+from math import comb, log2, sqrt
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -326,10 +325,18 @@ def _check_quantum(game: str, n: int, seed: int, fold: SimpleNamespace) -> tuple
     strategy = strategy_from_name(_default_strategy(game), n)
     start, fold.size = fold.size, spec.instances.size
     assert start <= fold.size, "the pair check must run before the parity check"
-    fresh = islice(spec.instances, start, None)
-    fold.bad += [inst.chosen for inst in fresh if mass(n, inst.chosen) != 0]
+    # a permutation of the players that maps one chosen set onto another fixes
+    # the GHZ state and maps the one set's measurements onto the other's, so
+    # a mass depends only on |C|: sweep the first set of each size (``start``
+    # is where a size begins)
+    index = start
+    while index < fold.size:
+        chosen = spec.instances[index].chosen
+        if mass(n, chosen) != 0:
+            fold.bad.append(chosen)
+        index += comb(n, len(chosen))
     if fold.bad:
-        return False, bad_text.format(fold.bad[:3])
+        return False, bad_text.format(fold.bad)
     reps = _SAMPLED_RUNS_PER_INSTANCE
 
     def runs(instance, index):
@@ -414,11 +421,11 @@ def cmd_verify(args: argparse.Namespace) -> Report:
         raise UsageError(f"verify defines no check at n = {n}; use {lo} <= n <= {hi}")
     checks: list[dict] = []
     results: dict = {"n": n}
-    # the certainty checks' findings (nonzero-mass chosen sets, broadcast bit
-    # counts, whether every instance was won with probability exactly 1) on
-    # the parity game's first ``size`` instances; the pair game is its
-    # leading |C| = 2 slice, so the parity check goes on where the pair
-    # check stopped
+    # the certainty checks' findings (the nonzero-mass sizes' first chosen
+    # sets, broadcast bit counts, whether every instance was won with
+    # probability exactly 1) on the parity game's first ``size`` instances;
+    # the pair game is its leading |C| = 2 slice, so the parity check goes on
+    # where the pair check stopped
     fold = SimpleNamespace(size=0, bad=[], bits=set(), all_won=True)
     for name, lo, hi, runner in _VERIFY_CHECKS:
         if not lo <= n <= hi:

@@ -31,6 +31,7 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, lcm
 from typing import Callable, Iterable, Iterator, NamedTuple, Protocol
 
@@ -242,9 +243,8 @@ def _parity_rule(k: int):
     def allowed(outputs: tuple[str, ...]) -> bool:
         if len(outputs) != k + 1 or outputs[k] != "":
             return False
-        if any(o not in ("0", "1") for o in outputs[:k]):
-            return False
-        return sum(int(o) for o in outputs[:k]) % 2 == 1
+        chosen = outputs[:k]
+        return {*chosen} <= {"0", "1"} and chosen.count("1") % 2 == 1
 
     return allowed
 
@@ -291,8 +291,7 @@ def make_general_game(n: int) -> GameSpec:
     )
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(NamedTuple):
     """What one player emits in one step.
 
     ``group_message`` goes to the other members of the player's group next
@@ -351,8 +350,7 @@ class Strategy:
         return None
 
 
-@dataclass(frozen=True)
-class BroadcastRecord:
+class BroadcastRecord(NamedTuple):
     sender: int
     payload: str
     fixed_length: bool
@@ -362,22 +360,19 @@ class BroadcastRecord:
         return len(self.payload) if self.fixed_length else 2 * len(self.payload) + 1
 
 
-@dataclass(frozen=True)
-class GroupMessage:
+class GroupMessage(NamedTuple):
     sender: int
     group: int
     payload: str
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     step: int
     broadcasts: tuple[BroadcastRecord, ...]
     group_messages: tuple[GroupMessage, ...]
 
 
-@dataclass(frozen=True)
-class Transcript:
+class Transcript(NamedTuple):
     steps: tuple[StepRecord, ...]
     final_outputs: tuple[str, ...]
 
@@ -386,8 +381,7 @@ class Transcript:
         return sum(r.bit_cost for s in self.steps for r in s.broadcasts)
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     won: bool
     transcript: Transcript
 
@@ -483,14 +477,14 @@ class _Run:
                 raise StepLimitExceeded(f"run exceeded {self.step_limit} steps without halting")
             first = t == 1
             last = self.steps[-1] if self.steps else _NOTHING_SENT
-            delivered = tuple((r.sender, r.payload) for r in last.broadcasts)
+            delivered = tuple((sender, payload) for sender, payload, _ in last.broadcasts)
             # each group's messages, pooled once; a player hears all but its own
             pools: dict[int, list[tuple[int, str]]] = {}
             own: dict[int, int] = {}  # sender -> place of its one message in its pool
-            for m in last.group_messages:
-                pool = pools.setdefault(m.group, [])
-                own[m.sender] = len(pool)
-                pool.append((m.sender, m.payload))
+            for sender, group, payload in last.group_messages:
+                pool = pools.setdefault(group, [])
+                own[sender] = len(pool)
+                pool.append((sender, payload))
             broadcasts, group_messages = self.broadcasts, self.group_messages
             for i in range(self.seat, n + 1):
                 if halted[i]:
@@ -506,23 +500,21 @@ class _Run:
                     tuple(pool) if j is None else (*pool[:j], *pool[j + 1 :]),
                     delivered,
                 )
-                action = players[i - 1].act(inbox)
-                if action.group_message is not None:
-                    _check_bits(action.group_message, "group message")
-                    group_messages.append(GroupMessage(i, gi, action.group_message))
-                if action.broadcast is not None:
-                    _check_bits(action.broadcast, "broadcast payload")
-                    broadcasts.append(
-                        BroadcastRecord(i, action.broadcast, action.broadcast_fixed_length)
-                    )
-                if action.output is not None:
-                    _check_bits(action.output, "final output")
+                message, broadcast, fixed_length, output, halt = players[i - 1].act(inbox)
+                if message is not None:
+                    _check_bits(message, "group message")
+                    group_messages.append(GroupMessage(i, gi, message))
+                if broadcast is not None:
+                    _check_bits(broadcast, "broadcast payload")
+                    broadcasts.append(BroadcastRecord(i, broadcast, fixed_length))
+                if output is not None:
+                    _check_bits(output, "final output")
                     if gi in outputs:
                         raise ProtocolViolation(
                             f"group {gi} received a second final output from player {i}"
                         )
-                    outputs[gi] = action.output
-                if action.halt:
+                    outputs[gi] = output
+                if halt:
                     halted[i] = True
                     live -= 1
 
@@ -603,6 +595,13 @@ class _BranchDraws:
         return bit
 
 
+@lru_cache(maxsize=64)
+def _leaf_weight(num: int, den: int) -> Fraction:
+    # few leaf weights recur (every leaf of an n = 7 pair instance weighs
+    # 1/64), so reduce each once
+    return Fraction(num, den)
+
+
 def enumerate_branches(
     instance: GameInstance,
     strategy: Strategy,
@@ -625,11 +624,11 @@ def enumerate_branches(
     stack: list[_Run] = []
     draws = _BranchDraws(stack)
     result = run_game(instance, strategy, draws, step_limit=step_limit)
-    yield result, Fraction(draws.num, draws.den)
+    yield result, _leaf_weight(draws.num, draws.den)
     while stack:
         run = stack.pop()
         result = run.play()
-        yield result, Fraction(run.draws.num, run.draws.den)
+        yield result, _leaf_weight(run.draws.num, run.draws.den)
 
 
 def check_strategy_fits(spec: GameSpec, strategy: Strategy) -> None:

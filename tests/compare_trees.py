@@ -10,9 +10,10 @@ stdout, stderr and exit code are compared byte for byte.  It prints
 The list is every command in ``tests/test_golden.py``'s ``CASES``, text
 and csv renders, the domain errors (``verify`` outside every check's n,
 an unwritable ``--out``, a bad ``table`` range, ``lemma --n 11``, a
-missing family file and one past the kernel cap, ``play`` below the game
-domain, above the register cap, with an unknown or pair-only strategy or
-zero trials), and two sampled plays under ``NLGAME_WORKERS=2``.
+missing family file, one past the kernel cap and a family file given
+with ``--n``, ``play`` below the game domain, above the register cap,
+with an unknown or pair-only strategy or zero trials), an exhaustive
+parity-game ``play``, and two sampled plays under ``NLGAME_WORKERS=2``.
 
     python3 tests/compare_trees.py TREE
 
@@ -54,7 +55,9 @@ COMMANDS = [
     ["lemma", "--family", "family.txt", "--format", "csv"],
     ["lemma", "--family", "missing.txt"],
     ["lemma", "--family", "copies.txt"],
+    ["lemma", "--family", "family.txt", "--n", "4"],
     ["play", "--n", "5", "--exhaustive", "--trials", "7", "--format", "json"],
+    ["play", "--game", "general", "--n", "6", "--exhaustive", "--format", "json"],
     ["play", "--n", "6", "--trials", "40", "--seed", "9"],
     ["play", "--game", "general", "--n", "6", "--strategy", "classical-atoms:0,1,b,nb,0,1"],
     ["play", "--n", "2"],

@@ -125,11 +125,47 @@ MUTANTS = (
         (TEST_GAMES,),
     ),
     Mutant(
+        "walk: the leaf weight cache is keyed on den only",
+        GAMES,
+        "@lru_cache(maxsize=64)\ndef _leaf_weight(num: int, den: int) -> Fraction:\n",
+        "_WEIGHTS: dict = {}\n\n\ndef _leaf_weight(num: int, den: int) -> Fraction:\n"
+        "    return _WEIGHTS.setdefault(den, Fraction(num, den))\n",
+        (TEST_GAMES,),
+    ),
+    Mutant(
+        "parity rule: a non-bit output counts",
+        GAMES,
+        '{*chosen} <= {"0", "1"} and ',
+        "",
+        (TEST_GAMES,),
+    ),
+    Mutant(
+        "sampled runs: trial t plays the stream of t mod 11",
+        GAMES,
+        "rng = SplitMix64.stream(seed, trial)",
+        "rng = SplitMix64.stream(seed, trial % 11)",
+        (TEST_GAMES,),
+    ),
+    Mutant(
         "exact sum: reduced over the first term's denominator",
         GAMES,
         "den = lcm(*(d for _, d in terms))",
         "den = terms[0][1] if terms else 1",
         (TEST_GAMES,),
+    ),
+    Mutant(
+        "verify: the pair is swept for every size",
+        CLI,
+        "chosen = spec.instances[index].chosen",
+        "chosen = spec.instances[0].chosen",
+        (TEST_CLI,),
+    ),
+    Mutant(
+        "verify: a size is skipped",
+        CLI,
+        "index += comb(n, len(chosen))",
+        "index += comb(n, len(chosen)) + comb(n, len(chosen) + 4)",
+        (TEST_CLI,),
     ),
     Mutant(
         "verify: no lower bound on a certainty check's bits",

@@ -13,7 +13,9 @@ is re-derived with an incremental Gray-code walk over all 2^n subsets
 instead of elimination and a walk over the kernel, the
 classical pair-game bound is brute-forced over raw per-player response
 assignments instead of class-size profiles, the certainty sweep weighs
-every measurement branch instead of one per symmetry class, and a
+every measurement branch instead of one per symmetry class (and, as a
+third derivation, sums a closed form of one branch's probability
+instead of asking an engine), and a
 broadcast's bit cost is checked against its encoded wire form, which the
 library only counts.
 Clarity beats speed; these only run at small sizes.
@@ -372,6 +374,30 @@ def branch_sweep(
         for outs in dist:
             dist[outs] += probability(base + [(c, basis, o) for c, o in zip(chosen, outs)])
     return dist
+
+
+def closed_form_weights(n: int, k: int) -> dict[int, Fraction]:
+    """For each t, the probability that k chosen players of the GHZ strategy
+    output one given tuple of weight t, from a closed form of one branch.
+
+    Take a branch whose n - k remaining outcomes have weight w and whose
+    chosen outputs have weight t.  Its amplitude is 1 + i^phi over
+    2^((n + 1) / 2): the |0...0> term plus the |1...1> term, on which every
+    outcome 1 puts a factor -1 and every circular measurement (all k chosen
+    players when the hint, the parity of w, is 0) a factor -i.  So
+    phi = 2(w + t) + 3k[w even] mod 4, the branch has probability
+    |1 + i^phi|^2 / 2^(n + 1), and the C(n - k, w) remaining tuples of
+    weight w weigh alike.
+    """
+    powers = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^phi as (re, im)
+    weights = {}
+    for t in range(k + 1):
+        total = Fraction(0)
+        for w in range(n - k + 1):
+            re, im = powers[(2 * (w + t) + 3 * k * (w % 2 == 0)) % 4]
+            total += comb(n - k, w) * Fraction((1 + re) ** 2 + im ** 2, 2 ** (n + 1))
+        weights[t] = total
+    return weights
 
 
 def gray_subset_condition(vectors) -> bool:

@@ -29,7 +29,15 @@ from nlgame import (
     run_game,
     strategy_from_name,
 )
-from nlgame.games import BroadcastRecord, fold_runs, sampled_runs
+from nlgame.games import (
+    BroadcastRecord,
+    GroupMessage,
+    RunResult,
+    StepRecord,
+    Transcript,
+    fold_runs,
+    sampled_runs,
+)
 from oracles import decode_step, encode_broadcast
 
 
@@ -203,6 +211,10 @@ def test_general_game_shape():
     assert pair.allowed(("0", "1", ""))
     assert not pair.allowed(("0", "", ""))
     assert winning_outputs(pair) == [("0", "1", ""), ("1", "0", "")]
+    # an odd count of "1" outputs wins only if every chosen output is one bit
+    for outputs in (("1", "", ""), ("1", "00", ""), ("1", "11", ""), ("1", "2", "")):
+        assert not pair.allowed(outputs)
+    assert not full.allowed(("1", "0", "0", "0", "0", "01", ""))
     wins = winning_outputs(full)
     assert len(wins) == 2**5
     assert all(sum(map(int, w[:-1])) % 2 == 1 for w in wins)
@@ -229,6 +241,71 @@ def test_bit_cost_rules():
     assert BroadcastRecord(1, "101", False).bit_cost == 7
     assert BroadcastRecord(1, "", False).bit_cost == 1  # terminator only
     assert BroadcastRecord(1, "", True).bit_cost == 0
+
+
+# ---------------------------------------------------------------------------
+# run records
+
+
+def _records():
+    broadcast = BroadcastRecord(0, "1", True)
+    message = GroupMessage(3, 2, "0")
+    step = StepRecord(1, (broadcast,), (message,))
+    transcript = Transcript((step,), ("0", "1", ""))
+    return broadcast, message, step, transcript, RunResult(True, transcript), Action(halt=True)
+
+
+def test_records_are_immutable_and_hashable():
+    for record, field in zip(_records(), ("sender", "group", "step", "steps", "won", "halt")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert hash(record) == hash(copy.copy(record))
+    broadcast, _, _, transcript, result, _ = _records()
+    assert len({result, RunResult(True, transcript), RunResult(False, transcript)}) == 2
+    assert (result.broadcast_bits, transcript.broadcast_bits, broadcast.bit_cost) == (1, 1, 1)
+
+
+def test_record_reprs_are_the_field_listings():
+    broadcast = "BroadcastRecord(sender=0, payload='1', fixed_length=True)"
+    message = "GroupMessage(sender=3, group=2, payload='0')"
+    step = f"StepRecord(step=1, broadcasts=({broadcast},), group_messages=({message},))"
+    transcript = f"Transcript(steps=({step},), final_outputs=('0', '1', ''))"
+    assert [repr(r) for r in _records()] == [
+        broadcast,
+        message,
+        step,
+        transcript,
+        f"RunResult(won=True, transcript={transcript})",
+        "Action(group_message=None, broadcast=None, broadcast_fixed_length=True, "
+        "output=None, halt=True)",
+    ]
+
+
+def test_action_defaults_and_keywords():
+    assert Action() == Action(None, None, True, None, False)
+    wait = Action()
+    assert (wait.group_message, wait.broadcast, wait.output) == (None, None, None)
+    assert wait.broadcast_fixed_length is True and wait.halt is False
+    act = Action(broadcast="01", broadcast_fixed_length=False, halt=True)
+    assert (act.broadcast, act.broadcast_fixed_length, act.halt, act.output) == (
+        "01", False, True, None
+    )
+
+
+def test_leaf_weights_are_fractions_of_their_branch_probabilities():
+    # (1/3, 2/5) draws give leaves whose weights share a denominator but not
+    # a numerator; each must be the product of its draws' probabilities.
+    # The walk is cut at 17 leaves, so a broken walk cannot run away
+    for p1, p2 in ((Fraction(1, 3), Fraction(2, 5)), (Fraction(1, 4), Fraction(3, 4))):
+        strategy = _DoubleDraw(4, p1, p2)
+        instance = make_simple_game(4).instances[0]
+        walk = [w for _, w in itertools.islice(enumerate_branches(instance, strategy), 17)]
+        oracle = [p for _, p in oracles.replay_branches(instance, strategy, run_game)]
+        assert all(type(weight) is Fraction for weight in walk)
+        assert walk == oracle and len(walk) == 16
+        assert len(set(walk)) > 1 and sum(walk) == 1
 
 
 def test_encode_examples():

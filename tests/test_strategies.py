@@ -8,6 +8,7 @@ oracle at sizes where re-deriving the joint distribution is cheap.
 import itertools
 import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -201,6 +202,39 @@ def test_pair_mass_equals_parity_mass_on_every_pair():
     for n in range(2, 9):
         for pair in itertools.combinations(range(1, n + 1), 2):
             assert simple_strategy_losing_mass(n, pair) == general_strategy_forbidden_mass(n, pair)
+
+
+def test_every_chosen_set_weighs_as_the_first_set_of_its_size():
+    # verify sweeps only the first set of each size: a permutation of the
+    # players that maps one chosen set onto another fixes the GHZ state and
+    # maps the strategy's measurements along.  The output distributions,
+    # which are not zero, check that beyond the zero masses
+    for n in range(3, 11):
+        for spec, mass in (
+            (make_simple_game(n), simple_strategy_losing_mass),
+            (make_general_game(n), general_strategy_forbidden_mass),
+        ):
+            first = {}
+            for instance in spec.instances:
+                chosen = instance.chosen
+                ref = first.setdefault(len(chosen), (mass(n, chosen), chosen))
+                assert mass(n, chosen) == ref[0]
+                if spec.name == "general":
+                    assert general_strategy_output_distribution(
+                        n, chosen
+                    ) == general_strategy_output_distribution(n, ref[1])
+            assert all(chosen == tuple(range(1, k + 1)) for k, (_, chosen) in first.items())
+
+
+def test_weight_classes_match_the_closed_form():
+    # _weigh's probability per output weight t, against the closed form,
+    # on the last chosen set of every size
+    for n in range(2, 13):
+        for k in range(1, n + 1):
+            chosen = tuple(range(n - k + 1, n + 1))
+            weights = oracles.closed_form_weights(n, k)
+            assert strategies._weigh(n, chosen, range(k + 1)) == weights
+            assert sum(comb(k, t) * p for t, p in weights.items()) == 1
 
 
 def _all_branches(strategy, instance, index):
