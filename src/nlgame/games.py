@@ -654,19 +654,20 @@ def sampled_runs(
 
 
 def fold_runs(
-    spec: GameSpec, strategy: Strategy, runs=None
+    spec: GameSpec, strategy: Strategy, walks=None
 ) -> tuple[list[Fraction], set[int], bool]:
-    """(win mass per instance, broadcast bit counts seen, whether every run won)
-    over ``runs(instance, index)``, which yields one instance's (result, weight)
-    pairs: by default its nonzero-probability branches and their probabilities."""
+    """(win mass per walk, broadcast bit counts seen, whether every run won)
+    over ``walks``, one iterable of (result, weight) pairs per instance: by
+    default every instance's nonzero-probability branches and their probabilities."""
     check_strategy_fits(spec, strategy)
+    if walks is None:
+        walks = (enumerate_branches(instance, strategy) for instance in spec.instances)
     masses: list[Fraction] = []
     bits: set[int] = set()
     all_won = True
-    for index, instance in enumerate(spec.instances):
+    for walk in walks:
         won: list[tuple[int, int]] = []
-        weighted = runs(instance, index) if runs else enumerate_branches(instance, strategy)
-        for result, weight in weighted:
+        for result, weight in walk:
             bits.add(result.broadcast_bits)
             if result.won:
                 won.append((weight.numerator, weight.denominator))

@@ -4,24 +4,31 @@ Each mutant is one exact text edit to a source file, meant to break a
 behaviour the tests claim to check.  For each one this script copies
 ``src``, ``tests`` and ``README.md`` to a temporary directory, applies the
 edit there (stopping with an error unless the target text occurs exactly
-once), and runs the mutant's test files with ``PYTHONPATH`` set to the
-copy, one pytest at a time, stopping at the first failure.  A mutant whose
-tests fail is killed; one whose tests pass survived.  The unmutated copy
-runs every named test file first, so a kill means the edit broke a test.
+once), and runs the mutant's test files or node ids with ``PYTHONPATH``
+set to the copy, one pytest at a time, stopping at the first failure.  A mutant whose
+tests fail is killed; one whose tests pass survived.  Each run is bounded
+by ``TIMEOUT_S`` and, through ``RLIMIT_AS`` set in that run's process
+only, by ``ADDRESS_SPACE_MB``; a run that hits a bound is reported as
+LIMIT, neither killed nor survived, since a mutant that loops or grows
+without end has not been shown to break a test.  The unmutated copy runs
+every named test file first, so a kill means the edit broke a test.
 
 Run it from anywhere, with the standard library and pytest:
 
     python3 tests/mutants.py
 
-It exits 0 when every mutant is killed, 1 when one survived or the
-unmutated tests fail, and 2 when a target text is not found exactly once.
+It exits 0 when every mutant is killed, 1 when one survived, one hit a
+bound or the unmutated tests fail, and 2 when a target text is not found
+exactly once.  POSIX only (``resource``, process groups).
 pytest does not collect this file.
 """
 
 from __future__ import annotations
 
 import os
+import resource
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -41,6 +48,11 @@ TEST_CLI = "tests/test_cli.py"
 TEST_GOLDEN = "tests/test_golden.py"
 TEST_QSIM = "tests/test_qsim.py"
 TEST_STRATEGIES = "tests/test_strategies.py"
+
+# each pytest run's bounds: the unmutated run needs about 350 MB of address
+# space (importing scipy fails at 320 MB and hangs at 256 MB) and about 25 s
+TIMEOUT_S = 60
+ADDRESS_SPACE_MB = 1024
 
 
 class Mutant(NamedTuple):
@@ -156,15 +168,29 @@ MUTANTS = (
     Mutant(
         "verify: the pair is swept for every size",
         CLI,
-        "chosen = spec.instances[index].chosen",
-        "chosen = spec.instances[0].chosen",
+        "[first.chosen for first in firsts if mass(n, first.chosen) != 0]",
+        "[spec.instances[0].chosen for _ in firsts if mass(n, spec.instances[0].chosen) != 0]",
         (TEST_CLI,),
     ),
     Mutant(
         "verify: a size is skipped",
         CLI,
-        "index += comb(n, len(chosen))",
-        "index += comb(n, len(chosen)) + comb(n, len(chosen) + 4)",
+        "index += comb(n, len(firsts[-1].chosen))",
+        "index += comb(n, len(firsts[-1].chosen)) + comb(n, len(firsts[-1].chosen) + 4)",
+        (TEST_CLI,),
+    ),
+    Mutant(
+        "verify: every size walks the first size's instance",
+        CLI,
+        "enumerate_branches(first, strategy)",
+        "enumerate_branches(spec.instances[0], strategy)",
+        (TEST_CLI,),
+    ),
+    Mutant(
+        "verify: the last size's walk is skipped",
+        CLI,
+        "for first in firsts)",
+        "for first in firsts[:-1])",
         (TEST_CLI,),
     ),
     Mutant(
@@ -191,11 +217,11 @@ MUTANTS = (
     Mutant(
         "verify: only the yielded runs must win",
         CLI,
-        "    masses, bits, _ = fold_runs(spec, strategy, runs)\n"
+        "    masses, bits, _ = fold_runs(spec, strategy, walks)\n"
         "    fold.bits |= bits\n"
         "    # a yielded run that lost, or a branch the runs missed, leaves a mass below 1\n"
-        "    fold.all_won &= all(mass == 1 for mass in masses[start:])\n",
-        "    _, bits, all_won = fold_runs(spec, strategy, runs)\n"
+        "    fold.all_won &= all(mass == 1 for mass in masses)\n",
+        "    _, bits, all_won = fold_runs(spec, strategy, walks)\n"
         "    fold.bits |= bits\n"
         "    fold.all_won &= all_won\n",
         (TEST_CLI,),
@@ -257,6 +283,17 @@ MUTANTS = (
         "in state.measured.items():",
         "in list(state.measured.items())[1:]:",
         (TEST_QSIM,),
+    ),
+    Mutant(
+        # verify at n <= 8 walks only each size's first chosen set, 1..k,
+        # which never holds player n beside a leader
+        "GHZ: player n flips its basis when a leader hints",
+        STRATEGIES,
+        '        basis = MeasBasis.DIAGONAL if inbox.broadcasts[0][1] == "1" else MeasBasis.CIRCULAR\n',
+        "        sender, hint = inbox.broadcasts[0]\n"
+        "        flip = sender != 0 and self._index == self._shared.state.num_qubits\n"
+        '        basis = MeasBasis.DIAGONAL if (hint == "1") != flip else MeasBasis.CIRCULAR\n',
+        (f"{TEST_STRATEGIES}::test_every_instance_walks_as_the_first_instance_of_its_size",),
     ),
     Mutant(
         "sweep: the hint parity is flipped",
@@ -321,11 +358,31 @@ def mutated(mutant: Mutant) -> str:
     return text.replace(mutant.old, mutant.new)
 
 
-def tests_pass(tree: Path, tests) -> bool:
+def _limit_address_space() -> None:
+    # runs in the child between fork and exec, so it bounds that run alone
+    limit = ADDRESS_SPACE_MB << 20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def run_tests(tree: Path, tests) -> str:
+    """How the pytest run of ``tests`` on ``tree`` ended: "pass", "fail", or
+    "limit" when it ran out of time or memory."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
-    done = subprocess.run(command, cwd=tree, env=env, capture_output=True)
-    return done.returncode == 0
+    with subprocess.Popen(
+        command, cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        preexec_fn=_limit_address_space, start_new_session=True,
+    ) as run:
+        try:
+            output, _ = run.communicate(timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            os.killpg(run.pid, signal.SIGKILL)  # the run and any worker it started
+            run.communicate()
+            return "limit"
+    # a failed allocation raises MemoryError, or kills the run by a signal
+    if run.returncode < 0 or b"MemoryError" in output:
+        return "limit"
+    return "pass" if run.returncode == 0 else "fail"
 
 
 def main() -> int:
@@ -333,25 +390,29 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="nlgame-mutants-") as scratch:
         base = Path(scratch) / "base"
         copy_tree(base)
-        files = sorted({f for mutant in MUTANTS for f in mutant.tests})
+        files = sorted({f.partition("::")[0] for mutant in MUTANTS for f in mutant.tests})
         start = time.perf_counter()
-        if not tests_pass(base, files):
-            print(f"mutants: the unmutated tests fail: {' '.join(files)}", file=sys.stderr)
+        outcome = run_tests(base, files)
+        if outcome != "pass":
+            print(f"mutants: the unmutated tests {'fail' if outcome == 'fail' else 'hit a limit'}:"
+                  f" {' '.join(files)}", file=sys.stderr)
             return 1
         print(f"unmutated  {time.perf_counter() - start:5.1f} s  {' '.join(files)} pass")
-        survived = 0
+        verdicts = {"fail": "killed  ", "pass": "SURVIVED", "limit": "LIMIT   "}
+        counts = dict.fromkeys(verdicts, 0)
         for mutant, text in zip(MUTANTS, texts):
             tree = Path(scratch) / "mutant"
             copy_tree(tree)
             (tree / mutant.path).write_text(text)
             start = time.perf_counter()
-            killed = not tests_pass(tree, mutant.tests)
-            survived += not killed
-            verdict = "killed  " if killed else "SURVIVED"
-            print(f"{verdict}   {time.perf_counter() - start:5.1f} s  {mutant.name}", flush=True)
+            outcome = run_tests(tree, mutant.tests)
+            counts[outcome] += 1
+            print(f"{verdicts[outcome]}   {time.perf_counter() - start:5.1f} s  {mutant.name}",
+                  flush=True)
             shutil.rmtree(tree)
-    print(f"{len(MUTANTS) - survived} of {len(MUTANTS)} mutants killed")
-    return 1 if survived else 0
+    print(f"{counts['fail']} of {len(MUTANTS)} mutants killed, {counts['pass']} survived, "
+          f"{counts['limit']} hit a limit")
+    return 1 if counts["pass"] or counts["limit"] else 0
 
 
 if __name__ == "__main__":

@@ -775,6 +775,17 @@ def test_enumerate_branches_forks_acts_that_draw_twice():
         assert bits == {0} and not all_won
 
 
+def test_fold_runs_returns_one_mass_per_walk_it_is_given():
+    spec = make_general_game(6)
+    strategy = nlgame.strategies.quantum_general_strategy(6)
+    full, pair = spec.instances[-1], spec.instances[0]
+    # walks of any instances in any order; one with no leaves weighs 0
+    walks = [enumerate_branches(full, strategy), (), enumerate_branches(pair, strategy)]
+    assert fold_runs(spec, strategy, walks) == ([1, 0, 1], {1}, True)
+    assert fold_runs(spec, strategy, []) == ([], set(), True)
+    assert len(fold_runs(spec, strategy)[0]) == spec.instances.size == 16
+
+
 def test_broadcast_complexity_exhaustive():
     assert broadcast_complexity(make_simple_game(6), quantum_simple_strategy(6)) == (1, True)
 

@@ -7,6 +7,7 @@ oracle at sizes where re-deriving the joint distribution is cheap.
 
 import itertools
 import time
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -226,6 +227,25 @@ def test_every_chosen_set_weighs_as_the_first_set_of_its_size():
             assert all(chosen == tuple(range(1, k + 1)) for k, (_, chosen) in first.items())
 
 
+def test_every_instance_walks_as_the_first_instance_of_its_size():
+    # verify walks only the first instance of each size: the permutation of
+    # the players that maps one chosen set onto another in order, and the
+    # rest onto the rest, maps one instance's leaves onto the other's.  This
+    # is the slow derivation of that shortcut, leaf by leaf
+    for n in range(2, 9):
+        games = [(make_general_game(n), quantum_general_strategy(n))]
+        if n >= 3:
+            games.append((make_simple_game(n), quantum_simple_strategy(n)))
+        for spec, strategy in games:
+            first = {}
+            for instance in spec.instances:
+                leaves = Counter(
+                    (result.won, result.broadcast_bits, weight)
+                    for result, weight in enumerate_branches(instance, strategy)
+                )
+                assert leaves == first.setdefault(len(instance.chosen), leaves), instance.label
+
+
 def test_weight_classes_match_the_closed_form():
     # _weigh's probability per output weight t, against the closed form,
     # on the last chosen set of every size
@@ -263,15 +283,17 @@ def test_pair_game_fold_is_the_parity_games_pair_slice(n, play):
             play(parity_strategy, member, index)
         )
     masses, bits, all_won = fold_runs(
-        pair_game, pair_strategy, lambda instance, index: play(pair_strategy, instance, index)
+        pair_game,
+        pair_strategy,
+        (play(pair_strategy, pair, index) for index, pair in enumerate(pair_game.instances)),
     )
     # the parity game lists its |C| = 2 slice first
     slice_masses, slice_bits, slice_won = fold_runs(
         parity_game,
         parity_strategy,
-        lambda instance, index: play(parity_strategy, instance, index) if index < pairs else (),
+        (play(parity_strategy, parity_game.instances[index], index) for index in range(pairs)),
     )
-    assert masses == slice_masses[:pairs] and len(masses) == pairs
+    assert masses == slice_masses and len(masses) == pairs
     assert (bits, all_won) == (slice_bits, slice_won) == ({1}, True)
 
 
