@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from math import ceil, comb, log2, sqrt
+from math import comb, log2, sqrt
 
 __all__ = [
     "AssignmentSearchResult",
@@ -284,7 +284,7 @@ def min_dimension_general(n: int) -> int:
 def _labeling_witness_family(n: int) -> GF2Family:
     # response family of the labeling strategy: transcript space is all
     # ceil(log2 n)-bit labels, player i outputs 1 only on its own label
-    width = max(1, ceil(log2(n)))
+    width = max(1, (n - 1).bit_length())
     return GF2Family(dimension=1 << width, vectors=tuple(1 << i for i in range(n)))
 
 

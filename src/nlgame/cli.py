@@ -264,13 +264,13 @@ def _run_trial_block_star(block) -> tuple[int, Counter]:
 
 
 def _play_exhaustive(spec: GameSpec, strategy) -> dict:
-    masses, bits, all_won = fold_runs(spec, strategy)
+    masses, bits = fold_runs(spec, strategy)
     return {
         "instances": len(masses),
         "win_rate": fraction_fields(sum(masses, Fraction(0)) / len(masses)),
         "min_instance_win_rate": fraction_fields(min(masses)),
         "broadcast_bits_max": max(bits),
-        "all_branches_won": all_won,
+        "all_branches_won": all(mass == 1 for mass in masses),
     }
 
 
@@ -317,7 +317,7 @@ _CERTAINTY = {
 }
 
 
-def _check_quantum(game: str, n: int, seed: int, fold: SimpleNamespace) -> tuple[bool, str]:
+def _check_quantum(game: str, n: int, seed: int, fold: SimpleNamespace) -> tuple[bool, str, dict]:
     bad_text, pass_text, runs_text, min_bits = _CERTAINTY[game]
     # looked up per call, so a wrapper bound over either name sees the calls
     mass = simple_strategy_losing_mass if game == "simple" else general_strategy_forbidden_mass
@@ -335,7 +335,7 @@ def _check_quantum(game: str, n: int, seed: int, fold: SimpleNamespace) -> tuple
         index += comb(n, len(firsts[-1].chosen))
     fold.bad += [first.chosen for first in firsts if mass(n, first.chosen) != 0]
     if fold.bad:
-        return False, bad_text.format(fold.bad)
+        return False, bad_text.format(fold.bad), {}
     reps = _SAMPLED_RUNS_PER_INSTANCE
 
     def seeded(index):
@@ -347,13 +347,13 @@ def _check_quantum(game: str, n: int, seed: int, fold: SimpleNamespace) -> tuple
         how, walks = "all branches", (enumerate_branches(first, strategy) for first in firsts)
     else:
         how, walks = f"{reps} seeded runs per instance", map(seeded, range(start, fold.size))
-    masses, bits, _ = fold_runs(spec, strategy, walks)
+    masses, bits = fold_runs(spec, strategy, walks)
     fold.bits |= bits
     # a yielded run that lost, or a branch the runs missed, leaves a mass below 1
     fold.all_won &= all(mass == 1 for mass in masses)
     if not (fold.all_won and min_bits <= min(fold.bits) and max(fold.bits) <= 1):
-        return False, runs_text.format(max(fold.bits))
-    return True, pass_text.format(spec.instances.size, how)
+        return False, runs_text.format(max(fold.bits)), {}
+    return True, pass_text.format(spec.instances.size, how), {}
 
 
 def _check_min_loss(n: int) -> tuple[bool, str, dict]:
@@ -374,19 +374,17 @@ def _check_transcripts(n: int) -> tuple[bool, str, dict]:
     data = {"min_transcripts": found}
     if found != expected:
         return False, f"search gives {found}, ceil(log2 {n}) = {expected}", data
-    if (1 << found) < n:
-        return False, f"2^{found} < {n}: log2 bound violated", data
     return True, (
         f"l_min = {found} = ceil(log2 {n}); implies broadcast bits >= log2 log2 {n}"
     ), data
 
 
-def _check_labeling(n: int) -> tuple[bool, str]:
+def _check_labeling(n: int) -> tuple[bool, str, dict]:
     width = max(1, (n - 1).bit_length())
     max_bits, all_won = broadcast_complexity(make_general_game(n), classical_label_strategy(n))
     if not (all_won and max_bits == width):
-        return False, f"expected wins at {width} bits, got max {max_bits}"
-    return True, f"wins every instance at exactly {width} broadcast bits"
+        return False, f"expected wins at {width} bits, got max {max_bits}", {}
+    return True, f"wins every instance at exactly {width} broadcast bits", {}
 
 
 def _check_lemma_chain(n: int) -> tuple[bool, str, dict]:
@@ -432,10 +430,8 @@ def cmd_verify(args: argparse.Namespace) -> Report:
                 {"name": name, "status": "skipped", "detail": f"defined for {lo} <= n <= {hi}"}
             )
             continue
-        outcome = runner(n, args.seed, fold)
-        passed, detail = outcome[0], outcome[1]
-        if len(outcome) > 2:
-            results.update(outcome[2])
+        passed, detail, data = runner(n, args.seed, fold)
+        results.update(data)
         checks.append(
             {"name": name, "status": "pass" if passed else "fail", "detail": detail}
         )

@@ -655,26 +655,25 @@ def sampled_runs(
 
 def fold_runs(
     spec: GameSpec, strategy: Strategy, walks=None
-) -> tuple[list[Fraction], set[int], bool]:
-    """(win mass per walk, broadcast bit counts seen, whether every run won)
-    over ``walks``, one iterable of (result, weight) pairs per instance: by
-    default every instance's nonzero-probability branches and their probabilities."""
+) -> tuple[list[Fraction], set[int]]:
+    """(win mass per walk, broadcast bit counts seen) over ``walks``, one
+    iterable of (result, weight) pairs per instance: by default every
+    instance's nonzero-probability branches and their probabilities.  A walk
+    was won with certainty exactly when its mass is 1: a lost or missing
+    branch leaves it below 1."""
     check_strategy_fits(spec, strategy)
     if walks is None:
         walks = (enumerate_branches(instance, strategy) for instance in spec.instances)
     masses: list[Fraction] = []
     bits: set[int] = set()
-    all_won = True
     for walk in walks:
         won: list[tuple[int, int]] = []
         for result, weight in walk:
             bits.add(result.broadcast_bits)
             if result.won:
                 won.append((weight.numerator, weight.denominator))
-            else:
-                all_won = False
         masses.append(_exact_sum(won))
-    return masses, bits, all_won
+    return masses, bits
 
 
 def _exact_sum(terms: list[tuple[int, int]]) -> Fraction:
@@ -684,7 +683,7 @@ def _exact_sum(terms: list[tuple[int, int]]) -> Fraction:
 
 
 def broadcast_complexity(spec: GameSpec, strategy: Strategy) -> tuple[int, bool]:
-    """(max broadcast bits, whether every run was won) over every instance
-    and every nonzero-probability randomness branch."""
-    _, bits, all_won = fold_runs(spec, strategy)
-    return max(bits), all_won
+    """(max broadcast bits, whether every instance was won with mass exactly 1)
+    over every instance and every nonzero-probability randomness branch."""
+    masses, bits = fold_runs(spec, strategy)
+    return max(bits), all(mass == 1 for mass in masses)

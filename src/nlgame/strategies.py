@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import itertools
 from fractions import Fraction
-from math import ceil, comb, log2
+from math import comb
 from typing import Callable, Iterable
 
 from .games import Action, GameInstance, Inbox, ProtocolViolation, Strategy, _exact_sum
@@ -251,7 +251,7 @@ class ClassicalLabelStrategy(Strategy):
         self.n = n
         self.name = "classical-label"
         # player i's label is labels[i - 1], i - 1 in ceil(log2 n) binary digits
-        width = max(1, ceil(log2(n)))
+        width = max(1, (n - 1).bit_length())
         self.labels = tuple(format(i, f"0{width}b") for i in range(n))
 
     def make_players(self, instance: GameInstance, draws) -> list:

@@ -12,8 +12,9 @@ and csv renders, the domain errors (``verify`` outside every check's n,
 an unwritable ``--out``, a bad ``table`` range, ``lemma --n 11``, a
 missing family file, one past the kernel cap and a family file given
 with ``--n``, ``play`` below the game domain, above the register cap,
-with an unknown or pair-only strategy or zero trials), an exhaustive
-parity-game ``play``, and two sampled plays under ``NLGAME_WORKERS=2``.
+with an unknown or pair-only strategy or zero trials), exhaustive
+parity-game plays of the GHZ and labeling strategies, and two sampled
+plays under ``NLGAME_WORKERS=2``.
 
     python3 tests/compare_trees.py TREE
 
@@ -58,6 +59,8 @@ COMMANDS = [
     ["lemma", "--family", "family.txt", "--n", "4"],
     ["play", "--n", "5", "--exhaustive", "--trials", "7", "--format", "json"],
     ["play", "--game", "general", "--n", "6", "--exhaustive", "--format", "json"],
+    ["play", "--game", "general", "--n", "5", "--strategy", "classical-label", "--exhaustive",
+     "--format", "json"],
     ["play", "--n", "6", "--trials", "40", "--seed", "9"],
     ["play", "--game", "general", "--n", "6", "--strategy", "classical-atoms:0,1,b,nb,0,1"],
     ["play", "--n", "2"],

@@ -215,16 +215,25 @@ MUTANTS = (
         (TEST_CLI,),
     ),
     Mutant(
-        "verify: only the yielded runs must win",
+        "fold: a lost leaf counts toward its walk's mass",
+        GAMES,
+        "            if result.won:\n",
+        "            if True:\n",
+        (TEST_GAMES,),
+    ),
+    Mutant(
+        "broadcast_complexity's flag ignores the masses",
+        GAMES,
+        "return max(bits), all(mass == 1 for mass in masses)",
+        "return max(bits), True",
+        (f"{TEST_CLI}::test_verify_labeling_check_fails_on_a_missing_branch",),
+    ),
+    Mutant(
+        "play: all_branches_won ignores the masses",
         CLI,
-        "    masses, bits, _ = fold_runs(spec, strategy, walks)\n"
-        "    fold.bits |= bits\n"
-        "    # a yielded run that lost, or a branch the runs missed, leaves a mass below 1\n"
-        "    fold.all_won &= all(mass == 1 for mass in masses)\n",
-        "    _, bits, all_won = fold_runs(spec, strategy, walks)\n"
-        "    fold.bits |= bits\n"
-        "    fold.all_won &= all_won\n",
-        (TEST_CLI,),
+        '"all_branches_won": all(mass == 1 for mass in masses),',
+        '"all_branches_won": True,',
+        (f"{TEST_CLI}::test_play_exhaustive_verdict_reads_the_masses",),
     ),
     Mutant(
         "play: an exhaustive run echoes mode play",

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import nlgame.games
 from nlgame import cli
 from nlgame.cli import (
     Report,
@@ -214,12 +215,46 @@ def test_verify_outside_every_check_domain_exits_2(n, capsys):
 
 def test_verify_exit_code_one_on_failed_check(capsys, monkeypatch):
     monkeypatch.setattr(
-        cli, "_check_labeling", lambda n: (False, "forced failure for the test")
+        cli, "_check_labeling", lambda n: (False, "forced failure for the test", {})
     )
     code, out, err = run_cli(["verify", "--n", "4"], capsys)
     assert code == 1
     assert "failed checks: labeling-universality" in err
     assert "FAIL" in out
+
+
+def _drop_last_leaf_of_first_walk(monkeypatch):
+    # ``fold_runs`` walks through the games module's binding; the certainty
+    # checks walk through cli's own, so they see every leaf
+    real, walks = nlgame.games.enumerate_branches, []
+
+    def walk(instance, strategy, **kwargs):
+        leaves = list(real(instance, strategy, **kwargs))
+        walks.append(instance)
+        return iter(leaves[:-1] if len(walks) == 1 else leaves)
+
+    monkeypatch.setattr(nlgame.games, "enumerate_branches", walk)
+
+
+def test_play_exhaustive_verdict_reads_the_masses(capsys, monkeypatch):
+    # every yielded run still wins, but the first instance misses a branch
+    _drop_last_leaf_of_first_walk(monkeypatch)
+    code, out, _ = run_cli(
+        ["play", "--game", "general", "--n", "6", "--exhaustive", "--format", "json"], capsys
+    )
+    results = json.loads(out)["results"]
+    assert code == 0
+    assert results["min_instance_win_rate"]["ratio"] == "31/32"
+    assert results["all_branches_won"] is False
+
+
+def test_verify_labeling_check_fails_on_a_missing_branch(capsys, monkeypatch):
+    _drop_last_leaf_of_first_walk(monkeypatch)
+    code, out, err = run_cli(["verify", "--n", "5", "--format", "json"], capsys)
+    status = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+    assert code == 1
+    assert "failed checks: labeling-universality\n" in err
+    assert status["simple-quantum-certainty"] == status["general-quantum-certainty"] == "pass"
 
 
 def _certainty_details(out):

@@ -770,9 +770,7 @@ def test_enumerate_branches_forks_acts_that_draw_twice():
             walk = list(itertools.islice(enumerate_branches(instance, strategy), 17))
             assert len(walk) == 16
             assert walk == list(oracles.replay_branches(instance, strategy, run_game))
-        masses, bits, all_won = fold_runs(spec, strategy)
-        assert masses == [mass] * 6
-        assert bits == {0} and not all_won
+        assert fold_runs(spec, strategy) == ([mass] * 6, {0})
 
 
 def test_fold_runs_returns_one_mass_per_walk_it_is_given():
@@ -781,8 +779,8 @@ def test_fold_runs_returns_one_mass_per_walk_it_is_given():
     full, pair = spec.instances[-1], spec.instances[0]
     # walks of any instances in any order; one with no leaves weighs 0
     walks = [enumerate_branches(full, strategy), (), enumerate_branches(pair, strategy)]
-    assert fold_runs(spec, strategy, walks) == ([1, 0, 1], {1}, True)
-    assert fold_runs(spec, strategy, []) == ([], set(), True)
+    assert fold_runs(spec, strategy, walks) == ([1, 0, 1], {1})
+    assert fold_runs(spec, strategy, []) == ([], set())
     assert len(fold_runs(spec, strategy)[0]) == spec.instances.size == 16
 
 
