@@ -9,10 +9,10 @@ forces every qualifying subset of rows (size 2 mod 4) to have a nonzero
 GF(2) sum.  The subsets of n rows that sum to zero are the kernel of the
 linear map GF(2)^n -> GF(2)^dimension, so that condition is checked by
 elimination and a walk over the 2^(n - rank) kernel vectors, in
-O(n * rank + 2^(n - rank)) steps, for kernels of dimension <= 24.  Both
-searches run in canonical order (rows strictly increasing as integers),
-which is exhaustive because the winning conditions are invariant under
-row reordering.
+O(n * rank + 2^(n - rank)) steps, for kernels of dimension <= 24.  The
+pair game needs no search: n distinct rows fit in `length` bits iff
+n <= 2^length (the pigeonhole).  The GF(2) family search takes rows strictly
+increasing, which is exhaustive as row order leaves the condition unchanged.
 """
 
 from __future__ import annotations
@@ -113,29 +113,15 @@ class ResponseTable:
 def find_response_table(n: int, length: int) -> ResponseTable | None:
     """First canonical table of n pairwise-distinct rows, or None.
 
-    Depth-first search over strictly increasing row values; exhaustive up
-    to row reordering, which preserves the winning condition.
+    By the pigeonhole principle n pairwise-distinct rows of `length` bits
+    exist iff n <= 2^length, and the least strictly increasing choice is
+    then rows 0, 1, ..., n - 1.
     """
     if n < 2 or length < 1:
         raise ValueError("need n >= 2 players and length >= 1")
-    limit = 1 << length
-    rows: list[int] = []
-
-    def extend() -> bool:
-        if len(rows) == n:
-            return True
-        start = rows[-1] + 1 if rows else 0
-        need = n - len(rows)
-        for value in range(start, limit - need + 1):
-            rows.append(value)
-            if extend():
-                return True
-            rows.pop()
-        return False
-
-    if not extend():
+    if n > 1 << length:
         return None
-    table = ResponseTable(n=n, length=length, rows=tuple(rows))
+    table = ResponseTable(n=n, length=length, rows=tuple(range(n)))
     assert table.wins_simple()
     return table
 
@@ -143,9 +129,9 @@ def find_response_table(n: int, length: int) -> ResponseTable | None:
 def min_transcripts_simple(n: int) -> int:
     """Minimal transcript count that wins every pair-game instance.
 
-    Searches length = 1, 2, ... until a table of n pairwise-distinct rows
-    exists.  The failing lengths are exhausted, so the returned value is a
-    certificate in both directions.
+    Tries length = 1, 2, ... until a table of n pairwise-distinct rows
+    exists.  The pigeonhole refuses every shorter length, so the returned
+    value is a certificate in both directions.
     """
     if not 2 <= n <= 16:
         raise ValueError(f"search supports 2 <= n <= 16, got {n}")

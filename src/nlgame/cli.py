@@ -134,18 +134,18 @@ class Report:
 
     def _render_text(self) -> str:
         lines = [f"nlgame report (version {__version__})", "[config]"]
-        for key, value in _flatten({"": self.config}):
-            lines.append(f"  {key.lstrip('.')} = {value}")
+        for key, value in _flatten(self.config):
+            lines.append(f"  {key} = {value}")
         lines.append("[results]")
         rows = self.results.get("rows")
         if isinstance(rows, list) and rows and isinstance(rows[0], dict):
             lines += _text_table(rows)
             extra = {k: v for k, v in self.results.items() if k != "rows"}
-            for key, value in _flatten({"": extra}):
-                lines.append(f"  {key.lstrip('.')} = {value}")
+            for key, value in _flatten(extra):
+                lines.append(f"  {key} = {value}")
         else:
-            for key, value in _flatten({"": self.results}):
-                lines.append(f"  {key.lstrip('.')} = {value}")
+            for key, value in _flatten(self.results):
+                lines.append(f"  {key} = {value}")
         if self.checks:
             lines.append("[checks]")
             for c in self.checks:

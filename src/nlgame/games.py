@@ -36,7 +36,7 @@ from math import comb, lcm
 from typing import Callable, Iterable, Iterator, NamedTuple, Protocol
 
 __all__ = [
-    "STEP_LIMIT_DEFAULT",
+    "STEP_LIMIT",
     "ProtocolViolation",
     "StepLimitExceeded",
     "SplitMix64",
@@ -63,7 +63,7 @@ __all__ = [
     "broadcast_complexity",
 ]
 
-STEP_LIMIT_DEFAULT = 64
+STEP_LIMIT = 64  # steps a run may take before StepLimitExceeded
 _MASK64 = (1 << 64) - 1
 
 
@@ -408,13 +408,11 @@ class _Run:
     """
 
     __slots__ = (
-        "instance", "strategy", "draws", "step_limit", "players", "group_of",
+        "instance", "strategy", "draws", "players", "group_of",
         "step", "seat", "halted", "outputs", "steps", "broadcasts", "group_messages",
     )
 
-    def __init__(
-        self, instance: GameInstance, strategy: Strategy, draws, step_limit: int
-    ) -> None:
+    def __init__(self, instance: GameInstance, strategy: Strategy, draws) -> None:
         grouping = instance.grouping
         n = grouping.n
         if getattr(strategy, "n", None) != n:
@@ -422,7 +420,6 @@ class _Run:
                 f"strategy is for n={getattr(strategy, 'n', None)}, instance has n={n}"
             )
         self.instance, self.strategy, self.draws = instance, strategy, draws
-        self.step_limit = step_limit
         if isinstance(draws, _BranchDraws):
             draws.run = self  # the branch walk forks this run at its draws
         self.players = strategy.make_players(instance, draws)
@@ -451,7 +448,7 @@ class _Run:
         """A copy of this run, its live players forked onto ``draws``, its halted ones kept."""
         twin = _Run.__new__(_Run)
         twin.instance, twin.strategy, twin.step = self.instance, self.strategy, self.step
-        twin.group_of, twin.step_limit, twin.seat = self.group_of, self.step_limit, self.seat
+        twin.group_of, twin.seat = self.group_of, self.seat
         halted = twin.halted = self.halted[:]
         twin.outputs = self.outputs.copy()
         twin.steps = self.steps[:]
@@ -473,8 +470,8 @@ class _Run:
         live = n - sum(halted)
         while True:
             t = self.step
-            if t > self.step_limit:
-                raise StepLimitExceeded(f"run exceeded {self.step_limit} steps without halting")
+            if t > STEP_LIMIT:
+                raise StepLimitExceeded(f"run exceeded {STEP_LIMIT} steps without halting")
             first = t == 1
             last = self.steps[-1] if self.steps else _NOTHING_SENT
             delivered = tuple((sender, payload) for sender, payload, _ in last.broadcasts)
@@ -528,13 +525,7 @@ class _Run:
         return RunResult(bool(instance.allowed(final)), Transcript(tuple(self.steps), final))
 
 
-def run_game(
-    instance: GameInstance,
-    strategy: Strategy,
-    draws,
-    *,
-    step_limit: int = STEP_LIMIT_DEFAULT,
-) -> RunResult:
+def run_game(instance: GameInstance, strategy: Strategy, draws) -> RunResult:
     """Execute one run and judge it.
 
     Delivers the query (plus auxiliary input for the aux group) in step 1,
@@ -542,9 +533,9 @@ def run_game(
     t + 1 is delivered from step t's :class:`StepRecord`, the one record of
     its messages.  Output slots are claimed in ascending player order; a
     second output in the same group raises :class:`ProtocolViolation`, and
-    exceeding the step limit raises :class:`StepLimitExceeded`.
+    a run past :data:`STEP_LIMIT` steps raises :class:`StepLimitExceeded`.
     """
-    return _Run(instance, strategy, draws, step_limit).play()
+    return _Run(instance, strategy, draws).play()
 
 
 class _BranchDraws:
@@ -585,7 +576,7 @@ class _BranchDraws:
             else:
                 # a later draw of the act, whose start no copy keeps: replay from the root
                 draws = _BranchDraws(self.stack, tape)
-                fork = _Run(run.instance, run.strategy, draws, run.step_limit)
+                fork = _Run(run.instance, run.strategy, draws)
             self.stack.append(fork)
             self.tape += (1,)
         bit = self.tape[pos]
@@ -603,10 +594,7 @@ def _leaf_weight(num: int, den: int) -> Fraction:
 
 
 def enumerate_branches(
-    instance: GameInstance,
-    strategy: Strategy,
-    *,
-    step_limit: int = STEP_LIMIT_DEFAULT,
+    instance: GameInstance, strategy: Strategy
 ) -> Iterator[tuple[RunResult, Fraction]]:
     """All runs with nonzero probability, by a depth-first walk that forks
     the run at each genuine draw.
@@ -619,11 +607,12 @@ def enumerate_branches(
     so shared prefixes are played once; at a later draw of the same act it
     is a replay from the root.  Every run yields one leaf, 1-branches
     first.  Deterministic strategies yield exactly one branch of
-    probability 1.
+    probability 1.  A run past :data:`STEP_LIMIT` steps raises
+    :class:`StepLimitExceeded`.
     """
     stack: list[_Run] = []
     draws = _BranchDraws(stack)
-    result = run_game(instance, strategy, draws, step_limit=step_limit)
+    result = run_game(instance, strategy, draws)
     yield result, _leaf_weight(draws.num, draws.den)
     while stack:
         run = stack.pop()

@@ -43,11 +43,13 @@ CLI = "src/nlgame/cli.py"
 QSIM = "src/nlgame/qsim.py"
 BOUNDS = "src/nlgame/bounds.py"
 STRATEGIES = "src/nlgame/strategies.py"
+ORACLES = "tests/oracles.py"
 TEST_GAMES = "tests/test_games.py"
 TEST_CLI = "tests/test_cli.py"
 TEST_GOLDEN = "tests/test_golden.py"
 TEST_QSIM = "tests/test_qsim.py"
 TEST_STRATEGIES = "tests/test_strategies.py"
+TEST_BOUNDS = "tests/test_bounds.py"
 
 # each pytest run's bounds: the unmutated run needs about 350 MB of address
 # space (importing scipy fails at 320 MB and hangs at 256 MB) and about 25 s
@@ -215,6 +217,13 @@ MUTANTS = (
         (TEST_CLI,),
     ),
     Mutant(
+        "step limit: one step short",
+        GAMES,
+        "if t > STEP_LIMIT:",
+        "if t >= STEP_LIMIT:",
+        (f"{TEST_GAMES}::test_step_limit_edge",),
+    ),
+    Mutant(
         "fold: a lost leaf counts toward its walk's mass",
         GAMES,
         "            if result.won:\n",
@@ -234,6 +243,13 @@ MUTANTS = (
         '"all_branches_won": all(mass == 1 for mass in masses),',
         '"all_branches_won": True,',
         (f"{TEST_CLI}::test_play_exhaustive_verdict_reads_the_masses",),
+    ),
+    Mutant(
+        "verify: the min-loss check passes whatever the search gives",
+        CLI,
+        "    if search.min_loss != formula:\n",
+        "    if False:\n",
+        (f"{TEST_CLI}::test_verify_reports_a_min_loss_that_misses_the_formula",),
     ),
     Mutant(
         "play: an exhaustive run echoes mode play",
@@ -288,10 +304,24 @@ MUTANTS = (
     ),
     Mutant(
         "oracles.dense: the first measured factor is dropped",
-        "tests/oracles.py",
+        ORACLES,
         "in state.measured.items():",
         "in list(state.measured.items())[1:]:",
         (TEST_QSIM,),
+    ),
+    Mutant(
+        "oracles.project: the 1-component takes the 0 basis vector",
+        ORACLES,
+        "        out[hi] = e1 * inner\n",
+        "        out[hi] = e0 * inner\n",
+        (f"{TEST_QSIM}::test_collapse_matches_reference_oracle",),
+    ),
+    Mutant(
+        "oracles.eager_instances: a size's sets come in reverse order",
+        ORACLES,
+        "for chosen in itertools.combinations(range(1, n + 1), k):",
+        "for chosen in reversed(list(itertools.combinations(range(1, n + 1), k))):",
+        (f"{TEST_GAMES}::test_lazy_instances_match_the_eager_builder",),
     ),
     Mutant(
         # verify at n <= 8 walks only each size's first chosen set, 1..k,
@@ -337,14 +367,21 @@ MUTANTS = (
         BOUNDS,
         "subset.bit_count() % 4 == 2",
         "subset.bit_count() % 2 == 0",
-        ("tests/test_bounds.py",),
+        (TEST_BOUNDS,),
     ),
     Mutant(
         "elimination: a reduced row keeps its own mask",
         BOUNDS,
         "            mask ^= pivot_mask\n",
         "",
-        ("tests/test_bounds.py",),
+        (TEST_BOUNDS,),
+    ),
+    Mutant(
+        "pigeonhole: a full row space is refused",
+        BOUNDS,
+        "if n > 1 << length:",
+        "if n >= 1 << length:",
+        (f"{TEST_BOUNDS}::test_response_table_matches_the_row_tuple_scan",),
     ),
 )
 

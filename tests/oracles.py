@@ -12,7 +12,9 @@ itself mid-run, the subset-parity condition
 is re-derived with an incremental Gray-code walk over all 2^n subsets
 instead of elimination and a walk over the kernel, the
 classical pair-game bound is brute-forced over raw per-player response
-assignments instead of class-size profiles, the certainty sweep weighs
+assignments instead of class-size profiles, the pair game's response
+table is found by a scan over raw row tuples instead of the pigeonhole
+bound, the certainty sweep weighs
 every measurement branch instead of one per symmetry class (and, as a
 third derivation, sums a closed form of one branch's probability
 instead of asking an engine), and a
@@ -527,3 +529,13 @@ def min_rows_for_distinct(n: int) -> int:
     while (1 << length) < n:
         length += 1
     return length
+
+
+def first_distinct_rows(n: int, length: int):
+    """First row tuple, in lexicographic order over all (2**length)**n
+    tuples of ``length``-bit rows, that is strictly increasing and
+    pairwise distinct; None if no tuple is."""
+    for rows in itertools.product(range(1 << length), repeat=n):
+        if len(set(rows)) == n and list(rows) == sorted(rows):
+            return rows
+    return None

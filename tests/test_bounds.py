@@ -2,8 +2,9 @@
 
 Each search result is checked against an oracle that takes a different
 route: the profile-based loss minimum against a raw 4**n assignment scan,
-the subset-parity scan against a Gray-code walk, and the transcript search
-against the closed form it is supposed to certify.
+the subset-parity scan against a Gray-code walk, the pigeonhole response
+table against a scan over raw row tuples, and the transcript count against
+the closed form it is supposed to certify.
 """
 
 import itertools
@@ -102,6 +103,28 @@ def test_two_transcripts_cannot_separate_five_players():
     assert table is not None
     assert table.wins_simple()
     assert list(table.rows) == sorted(set(table.rows))
+
+
+def test_response_table_matches_the_row_tuple_scan():
+    for n in range(2, 7):
+        for length in range(1, 4):
+            table = find_response_table(n, length)
+            rows = None if table is None else table.rows
+            assert rows == oracles.first_distinct_rows(n, length), (n, length)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: find_response_table(1, 1), "need n >= 2 players and length >= 1"),
+        (lambda: GF2Family(1, ()), "family must contain at least one vector"),
+        (lambda: find_gf2_family(0, 1), "need n >= 1 vectors and dimension >= 1"),
+    ],
+)
+def test_bounds_input_guards(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
 
 
 def test_min_transcripts_sequence():

@@ -1,12 +1,13 @@
 """CLI behavior: exit codes, report formats, reproducibility, workers."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
 import nlgame.games
-from nlgame import cli
+from nlgame import AssignmentSearchResult, cli
 from nlgame.cli import (
     Report,
     decimal_string,
@@ -223,13 +224,52 @@ def test_verify_exit_code_one_on_failed_check(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def _failing_verify(capsys, name):
+    # verify --n 5 with one check failing; returns its detail and the results
+    code, out, err = run_cli(["verify", "--n", "5", "--format", "json"], capsys)
+    payload = json.loads(out)
+    status = {c["name"]: c["status"] for c in payload["checks"]}
+    assert code == 1
+    assert err == f"failed checks: {name}\n"
+    assert [c for c, s in status.items() if s == "fail"] == [name]
+    return next(c["detail"] for c in payload["checks"] if c["name"] == name), payload["results"]
+
+
+def test_verify_reports_a_min_loss_that_misses_the_formula(capsys, monkeypatch):
+    wrong = AssignmentSearchResult(min_loss=Fraction(1, 5), argmin_profiles=((2, 1, 1, 1),))
+    monkeypatch.setattr(cli, "exhaustive_min_loss", lambda n: wrong)
+    detail, results = _failing_verify(capsys, "classical-min-loss-formula")
+    assert detail == "search gives 1/5, formula gives 1/10"
+    assert results["min_loss"] == {"ratio": "1/5", "decimal": "0.2"}
+
+
+def test_verify_reports_a_transcript_count_that_misses_the_log(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "min_transcripts_simple", lambda n: 4)
+    detail, results = _failing_verify(capsys, "simple-transcript-lower-bound")
+    assert detail == "search gives 4, ceil(log2 5) = 3"
+    assert results["min_transcripts"] == 4
+
+
+def test_verify_reports_a_violated_bound_chain(capsys, monkeypatch):
+    real = cli.verify_lemma_chain
+    monkeypatch.setattr(
+        cli,
+        "verify_lemma_chain",
+        lambda n: dataclasses.replace(real(n), lower_bound_holds=False),
+    )
+    detail, results = _failing_verify(capsys, "gf2-lemma-chain")
+    assert detail == "bound chain violated"
+    assert results["lemma_chain"]["lower_bound_holds"] is False
+    assert results["lemma_chain"]["min_dimension"] == 3
+
+
 def _drop_last_leaf_of_first_walk(monkeypatch):
     # ``fold_runs`` walks through the games module's binding; the certainty
     # checks walk through cli's own, so they see every leaf
     real, walks = nlgame.games.enumerate_branches, []
 
-    def walk(instance, strategy, **kwargs):
-        leaves = list(real(instance, strategy, **kwargs))
+    def walk(instance, strategy):
+        leaves = list(real(instance, strategy))
         walks.append(instance)
         return iter(leaves[:-1] if len(walks) == 1 else leaves)
 

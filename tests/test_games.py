@@ -30,6 +30,7 @@ from nlgame import (
     strategy_from_name,
 )
 from nlgame.games import (
+    STEP_LIMIT,
     BroadcastRecord,
     GroupMessage,
     RunResult,
@@ -377,7 +378,87 @@ class _LoiterStrategy(Strategy):
 def test_step_limit_enforced():
     instance = make_simple_game(3).instances[0]
     with pytest.raises(StepLimitExceeded):
-        run_game(instance, _LoiterStrategy(3), oracles.ReplayTape(()), step_limit=5)
+        run_game(instance, _LoiterStrategy(3), oracles.ReplayTape(()))
+
+
+class _HaltAt(Strategy):
+    # every player halts in step ``last``, the chosen pair outputting 1 and 0 there
+    def __init__(self, n, last):
+        self.n, self.last = n, last
+
+    def make_players(self, instance, draws):
+        outputs, last = dict(zip(instance.chosen, "10")), self.last
+
+        class P:
+            def __init__(self, i):
+                self.i = i
+
+            def act(self, inbox):
+                if inbox.step < last:
+                    return Action()
+                return Action(output=outputs.get(self.i), halt=True)
+
+        return [P(i) for i in range(1, self.n + 1)]
+
+
+def test_step_limit_edge():
+    instance = make_simple_game(3).instances[0]
+    result = run_game(instance, _HaltAt(3, STEP_LIMIT), oracles.ReplayTape(()))
+    assert result.won and len(result.transcript.steps) == STEP_LIMIT
+    with pytest.raises(StepLimitExceeded) as excinfo:
+        run_game(instance, _HaltAt(3, STEP_LIMIT + 1), oracles.ReplayTape(()))
+    assert str(excinfo.value) == f"run exceeded {STEP_LIMIT} steps without halting"
+
+
+class _Emits(Strategy):
+    # every player emits ``action`` in step 1; ``seats`` players in all
+    def __init__(self, n, action, seats=None, empty_group=None):
+        self.n, self.action, self.seats, self.empty_group = n, action, seats, empty_group
+
+    def make_players(self, instance, draws):
+        action = self.action
+
+        class P:
+            def act(self, inbox):
+                return action
+
+        return [P() for _ in range(self.n if self.seats is None else self.seats)]
+
+    def empty_group_action(self, instance, group_index):
+        return self.empty_group
+
+
+@pytest.mark.parametrize(
+    "action, message",
+    [
+        (Action(broadcast="2", halt=True), "broadcast payload must be a 0/1 string, got '2'"),
+        (Action(group_message="0x", halt=True), "group message must be a 0/1 string, got '0x'"),
+        (Action(output="a", halt=True), "final output must be a 0/1 string, got 'a'"),
+    ],
+)
+def test_non_binary_payloads_are_rejected(action, message):
+    instance = make_simple_game(3).instances[0]
+    with pytest.raises(ValueError) as excinfo:
+        run_game(instance, _Emits(3, action), oracles.ReplayTape(()))
+    assert str(excinfo.value) == message
+
+
+def test_strategy_must_supply_one_player_per_seat():
+    instance = make_simple_game(3).instances[0]
+    with pytest.raises(ValueError) as excinfo:
+        run_game(instance, _Emits(3, Action(halt=True), seats=2), oracles.ReplayTape(()))
+    assert str(excinfo.value) == "strategy must supply one player per seat"
+
+
+@pytest.mark.parametrize("injected", [Action(), Action(broadcast="1", output="1")])
+def test_empty_group_action_may_only_broadcast(injected):
+    # with every player chosen, the remaining group is empty
+    instance = make_general_game(6).instances[-1]
+    assert instance.chosen == (1, 2, 3, 4, 5, 6)
+    strategy = _Emits(6, Action(halt=True), empty_group=injected)
+    with pytest.raises(ValueError) as excinfo:
+        run_game(instance, strategy, oracles.ReplayTape(()))
+    assert str(excinfo.value) == "empty-group action may only broadcast"
 
 
 class _DoubleOutput(Strategy):
